@@ -19,10 +19,9 @@
 //!
 //! Divergent lanes are not approximated: a lane whose configuration the
 //! lean loop cannot replicate exactly (fault plans, watchdogs, traces,
-//! metrics, non-ideal or infinite storage, non-oracle predictors,
-//! non-uniform profiles) is drained through the scalar
-//! `try_simulate_in` instead, so a mixed batch still returns exact
-//! per-lane results.
+//! metrics, non-ideal or infinite storage, non-oracle predictors) is
+//! drained through the scalar `try_simulate_in` instead, so a mixed
+//! batch still returns exact per-lane results.
 
 use std::mem;
 use std::sync::Arc;
@@ -31,7 +30,7 @@ use harvest_cpu::{CpuModel, LevelIndex};
 use harvest_energy::predictor::EnergyPredictor;
 use harvest_energy::storage::{AdvanceReport, Storage, StorageLanes, StorageSpec};
 use harvest_sim::event::ReleaseTape;
-use harvest_sim::piecewise::{PiecewiseConstant, UniformGridView};
+use harvest_sim::piecewise::PiecewiseConstant;
 use harvest_sim::time::{SimDuration, SimTime};
 use harvest_task::job::{Job, JobId};
 use harvest_task::queue::EdfQueue;
@@ -102,12 +101,10 @@ impl HeapEntry {
 }
 
 /// A lean 4-ary min-heap over `(ticks, seq)` keys: the batched loop's
-/// event queue. The scalar engine's radix calendar queue pays
-/// per-bucket sorting that grows with event density; at B-lane density
-/// a flat heap of 24-byte entries (a few cache lines total) pops and
-/// pushes in a handful of branch-predictable compares. Ordering is
-/// identical — time, then schedule order — so pops replay the same
-/// per-lane sequences.
+/// event queue. It has the shape of the scalar `EventQueue` minus the
+/// slab and position index (lanes never cancel), with the lane and
+/// event inline in 24-byte entries. Ordering is identical — time, then
+/// schedule order — so pops replay the same per-lane sequences.
 #[derive(Debug, Default)]
 struct BatchHeap {
     entries: Vec<HeapEntry>,
@@ -280,7 +277,8 @@ struct LaneState {
     profile: Arc<PiecewiseConstant>,
     /// Kept for the debug cross-check and for symmetry with the scalar
     /// path; the lean loop itself computes oracle predictions straight
-    /// off the uniform grid (bit-identical, pinned by the grid tests).
+    /// off the profile with fresh cursors (bit-identical: the cursor is a
+    /// pure accelerator).
     predictor: Box<dyn EnergyPredictor>,
     /// Evaluate decisions through the lane-vectorized EA-DVFS replica.
     ea: bool,
@@ -388,9 +386,9 @@ impl Sink<'_> {
 /// Whether one lane can run on the lean batched loop at all. Everything
 /// the lean loop does not replicate exactly — fault plans, watchdog
 /// aborts, retained traces, metrics/profiling, non-ideal or infinite
-/// storage, DVFS switch time, non-uniform or non-Hold profiles, and
-/// non-oracle predictors (whose `observe` stream the fused sync walk
-/// skips) — routes the lane to the scalar fallback.
+/// storage, DVFS switch time, and non-oracle predictors (whose
+/// `observe` stream the fused sync walk skips) — routes the lane to the
+/// scalar fallback.
 fn lane_screen(lane: &BatchLane, oracle: bool) -> bool {
     let c = &lane.config;
     oracle
@@ -402,7 +400,6 @@ fn lane_screen(lane: &BatchLane, oracle: bool) -> bool {
         && c.cpu.switch_overhead().is_zero()
         && c.storage.is_ideal()
         && c.storage.capacity().is_finite()
-        && lane.profile.uniform_grid().is_some()
 }
 
 /// How the lanes of one batch relate to each other. The engine itself
@@ -695,15 +692,10 @@ fn run_lean_batch(
         horizon_ticks: sh.horizon_end.as_ticks(),
     };
 
-    // One grid view per lane, built once: every profile lookup below
-    // indexes through these instead of re-deriving a view (and bumping
-    // the profile `Arc`) at each use site.
+    // One profile handle per lane, cloned once, so every profile lookup
+    // below can borrow it beside the lane's mutable state.
     let profiles: Vec<Arc<PiecewiseConstant>> =
         lanes.iter().map(|l| Arc::clone(&l.profile)).collect();
-    let grids: Vec<UniformGridView<'_>> = profiles
-        .iter()
-        .map(|p| p.uniform_grid().expect("screened uniform grid"))
-        .collect();
 
     // Seed first arrivals and the sampling grid, lane-sequentially: the
     // global seq preserves each lane's scalar seeding order. Taped
@@ -810,7 +802,7 @@ fn run_lean_batch(
         if scratch.len() == 1 {
             let (_, le, event) = scratch[0];
             let li = le as usize;
-            sync_walk(sh, &mut lanes[li], &mut queues[li], &grids[li], now);
+            sync_walk(sh, &mut lanes[li], &mut queues[li], &profiles[li], now);
             let need_decide = handle_event(
                 sh,
                 &mut lanes[li],
@@ -826,7 +818,7 @@ fn run_lean_batch(
                     sh,
                     &mut lanes[li],
                     &mut queues[li],
-                    &grids[li],
+                    &profiles[li],
                     policies[orig].as_mut(),
                     &mut sink,
                     le,
@@ -839,7 +831,7 @@ fn run_lean_batch(
         if scratch.iter().all(|&(_, le, _)| le == scratch[0].1) {
             let le = scratch[0].1;
             let li = le as usize;
-            sync_walk(sh, &mut lanes[li], &mut queues[li], &grids[li], now);
+            sync_walk(sh, &mut lanes[li], &mut queues[li], &profiles[li], now);
             for &(_, _, event) in scratch.iter() {
                 let need_decide = handle_event(
                     sh,
@@ -856,7 +848,7 @@ fn run_lean_batch(
                         sh,
                         &mut lanes[li],
                         &mut queues[li],
-                        &grids[li],
+                        &profiles[li],
                         policies[orig].as_mut(),
                         &mut sink,
                         le,
@@ -897,14 +889,14 @@ fn run_lean_batch(
                 LaneRun::Running { level, .. } => sh.cpu.power(level),
                 LaneRun::Idle | LaneRun::Stalled => sh.cpu.idle_power(),
             };
-            let grid = &grids[li];
-            let single = match grid.next_breakpoint_after(from) {
+            let profile = &profiles[li];
+            let single = match profile.next_breakpoint_after(from) {
                 None => true,
                 Some(b) => b >= now,
             };
             if single {
                 let dt = (now - from).as_units();
-                let value = grid.value_at(from);
+                let value = profile.value_at(from);
                 // The window is the one clipped segment, so this is the
                 // scalar accounting loop's single `seg.integral()` add.
                 lane.energy.harvested += value * dt;
@@ -914,7 +906,7 @@ fn run_lean_batch(
                 sync_dt.push(dt);
                 sync_load.push(load);
             } else {
-                sync_walk(sh, lane, &mut queues[li], grid, now);
+                sync_walk(sh, lane, &mut queues[li], profile, now);
             }
         }
         if !sync_lanes.is_empty() {
@@ -969,7 +961,7 @@ fn run_lean_batch(
                         sh,
                         &mut lanes[li],
                         &mut queues[li],
-                        &grids[li],
+                        &profiles[li],
                         policies[orig].as_mut(),
                         &mut sink,
                         le,
@@ -1002,7 +994,7 @@ fn run_lean_batch(
                 let work = head.remaining_work();
                 gd_lanes.push(le);
                 gd_deadline.push(d);
-                gd_avail.push(lane.level + oracle_predict(&grids[li], now, d));
+                gd_avail.push(lane.level + oracle_predict(&profiles[li], now, d));
                 gd_work.push(work);
                 gd_window.push((d - now).as_units());
             } else {
@@ -1013,7 +1005,7 @@ fn run_lean_batch(
                         SchedContext::new(now, head, &sh.cpu, &storage, lane.predictor.as_ref());
                     policies[lane.orig].decide(&sctx)
                 };
-                act(sh, lane, queue, &grids[li], &mut sink, le, now, decision);
+                act(sh, lane, queue, &profiles[li], &mut sink, le, now, decision);
             }
         }
         if !gd_lanes.is_empty() {
@@ -1030,7 +1022,7 @@ fn run_lean_batch(
                     sh,
                     &mut lanes[li],
                     &mut queues[li],
-                    &grids[li],
+                    &profiles[li],
                     &mut sink,
                     le,
                     now,
@@ -1041,7 +1033,7 @@ fn run_lean_batch(
     }
     // Settle each lane at the horizon and extract its result.
     for (li, lane) in lanes.iter_mut().enumerate() {
-        sync_walk(sh, lane, &mut queues[li], &grids[li], sh.horizon_end);
+        sync_walk(sh, lane, &mut queues[li], &profiles[li], sh.horizon_end);
         lane.energy.final_level = lane.level;
         for rec in &mut lane.records {
             if matches!(rec.outcome, JobOutcome::Pending) && rec.deadline <= sh.horizon_end {
@@ -1081,14 +1073,13 @@ fn bump(lane: &mut LaneState, event: TraceEvent) {
 
 /// The exact oracle prediction: [`harvest_energy::predictor::OraclePredictor`]
 /// answers `predict_energy(from, until)` with the profile integral (its
-/// cursor is a pure accelerator), and the grid integral is pinned
-/// bit-identical to the cursor path.
+/// cursor is a pure accelerator, so a cold query is bit-identical).
 #[inline]
-fn oracle_predict(grid: &UniformGridView<'_>, from: SimTime, until: SimTime) -> f64 {
+fn oracle_predict(profile: &PiecewiseConstant, from: SimTime, until: SimTime) -> f64 {
     if until <= from {
         0.0
     } else {
-        grid.integrate(from, until)
+        profile.integrate(from, until)
     }
 }
 
@@ -1135,7 +1126,7 @@ fn finish_sync(
 }
 
 /// Advances one lane's continuous state to `now` with a fused walk over
-/// the profile grid: per segment, one `advance_constant` step plus the
+/// the profile's segments: per segment, one `advance_constant` step plus the
 /// harvested-energy add — the same per-accumulator op sequences as the
 /// scalar `advance_with` + accounting loop (`observe` is the oracle
 /// no-op on this path).
@@ -1143,7 +1134,7 @@ fn sync_walk(
     sh: &Shared,
     lane: &mut LaneState,
     queue: &mut EdfQueue,
-    grid: &UniformGridView<'_>,
+    profile: &PiecewiseConstant,
     now: SimTime,
 ) {
     if now <= lane.last_sync {
@@ -1160,11 +1151,11 @@ fn sync_walk(
         ..AdvanceReport::default()
     };
     let harvested = &mut lane.energy.harvested;
-    grid.for_each_segment(from, now, |seg| {
+    for seg in profile.segments_between(from, now) {
         sh.spec
             .advance_constant(&mut report, seg.value, seg.duration().as_units(), load);
         *harvested += seg.integral();
-    });
+    }
     finish_sync(sh, lane, queue, &report, from, now);
 }
 
@@ -1320,7 +1311,7 @@ fn decide_lane(
     sh: &Shared,
     lane: &mut LaneState,
     queue: &mut EdfQueue,
-    grid: &UniformGridView<'_>,
+    profile: &PiecewiseConstant,
     policy: &mut dyn Scheduler,
     sink: &mut Sink,
     le: u32,
@@ -1335,7 +1326,7 @@ fn decide_lane(
         let head = queue.peek().expect("non-empty queue");
         let d = head.absolute_deadline();
         let window = (d - now).as_units();
-        let avail = lane.level + oracle_predict(grid, now, d);
+        let avail = lane.level + oracle_predict(profile, now, d);
         let feasible = sh.cpu.min_feasible_level(head.remaining_work(), window);
         let decision = ea_decide_from(sh, now, d, avail, feasible);
         debug_check_ea(sh, lane, queue, now, decision);
@@ -1346,7 +1337,7 @@ fn decide_lane(
         let sctx = SchedContext::new(now, head, &sh.cpu, &storage, lane.predictor.as_ref());
         policy.decide(&sctx)
     };
-    act(sh, lane, queue, grid, sink, le, now, decision);
+    act(sh, lane, queue, profile, sink, le, now, decision);
 }
 
 /// Paper eq. 7/8: `max(now, D − sr)` — the [`SchedContext::latest_start`]
@@ -1428,14 +1419,14 @@ fn debug_check_ea(
 
 /// Acts on a decision: the scalar `decide`'s post-policy tail (state
 /// transition, switch accounting, wake-up scheduling), verbatim against
-/// lane-local state, with every profile lookup answered by the uniform
-/// grid (pinned bit-identical to the cursor paths).
+/// lane-local state, with every profile lookup a cold kernel query
+/// (bit-identical to the scalar path's cursor-threaded ones).
 #[allow(clippy::too_many_arguments)] // mirrors the scalar decide's context, split per lane
 fn act(
     sh: &Shared,
     lane: &mut LaneState,
     queue: &mut EdfQueue,
-    grid: &UniformGridView<'_>,
+    profile: &PiecewiseConstant,
     sink: &mut Sink,
     le: u32,
     now: SimTime,
@@ -1451,10 +1442,10 @@ fn act(
         Decision::Run { level, review } => {
             assert!(level < sh.cpu.level_count(), "invalid level {level}");
             let power = sh.cpu.power(level);
-            let harvest_now = grid.value_at(now);
+            let harvest_now = profile.value_at(now);
             let net = sh.spec.net_rate(harvest_now, power);
             if lane.level < ENERGY_EPS && net < 0.0 {
-                stall(sh, lane, sink, le, now, power, grid);
+                stall(sh, lane, sink, le, now, power, profile);
                 return;
             }
             let speed = sh.cpu.speed(level);
@@ -1495,16 +1486,16 @@ fn act(
             if lane.level > ENERGY_EPS {
                 // The scalar `first_crossing_with` with target 0: the
                 // level differs from the target here, and the spec is
-                // ideal and finite, so it is exactly the grid's clamped
+                // ideal and finite, so it is exactly the profile's clamped
                 // accumulation crossing.
-                if let Some(t) = grid
+                if let Some(t) = profile
                     .first_accumulation_crossing(now, window_end, lane.level, -power, sh.cap, 0.0)
                 {
                     if t > now {
                         sink.sched(le, t, LaneEvent::Reevaluate { epoch: lane.epoch });
                     }
                 }
-            } else if let Some(t) = grid.next_breakpoint_after(now) {
+            } else if let Some(t) = profile.next_breakpoint_after(now) {
                 if t < window_end {
                     sink.sched(le, t, LaneEvent::Reevaluate { epoch: lane.epoch });
                 }
@@ -1514,7 +1505,7 @@ fn act(
 }
 
 /// The scalar `stall` (paper §4.2 restart-quantum scavenging), with the
-/// crossing solved on the grid (identical, including the
+/// crossing solved by a cold kernel query (identical, including the
 /// level-equals-target early return).
 fn stall(
     sh: &Shared,
@@ -1523,10 +1514,10 @@ fn stall(
     le: u32,
     now: SimTime,
     power: f64,
-    grid: &UniformGridView<'_>,
+    profile: &PiecewiseConstant,
 ) {
     let target = (sh.restart_quantum * power).min(sh.cap);
-    let wake = grid.first_accumulation_crossing(
+    let wake = profile.first_accumulation_crossing(
         now,
         sh.horizon_end,
         lane.level,

@@ -10,14 +10,24 @@
 //! scalar-drain (fault plans, non-oracle predictors, watchdogs), so
 //! both sides of the eligibility screen are pinned.
 
+use std::sync::Arc;
+
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind, SimPool, TrialPrefab};
 use harvest_sim::engine::Watchdog;
+use harvest_sim::piecewise::{Extension, PiecewiseConstant};
+use harvest_sim::time::SimDuration;
 
 /// Runs one scenario's seeds both ways and asserts per-lane equality of
 /// the full results and of the persisted summary bytes.
 fn assert_batch_parity(scenario: &PaperScenario, policy: PolicyKind, seeds: std::ops::Range<u64>) {
-    let prefabs: Vec<TrialPrefab> = seeds.clone().map(|s| scenario.prefab(s)).collect();
+    let prefabs: Vec<TrialPrefab> = seeds.map(|s| scenario.prefab(s)).collect();
+    assert_prefab_parity(scenario, policy, &prefabs);
+}
+
+/// [`assert_batch_parity`] over caller-built prefabs.
+fn assert_prefab_parity(scenario: &PaperScenario, policy: PolicyKind, prefabs: &[TrialPrefab]) {
     let refs: Vec<&TrialPrefab> = prefabs.iter().collect();
+    let seeds = prefabs.iter().map(|p| p.seed);
 
     let mut scalar_pool = SimPool::new();
     let scalar: Vec<_> = refs
@@ -29,7 +39,7 @@ fn assert_batch_parity(scenario: &PaperScenario, policy: PolicyKind, seeds: std:
     let batched = scenario.run_prefabs_batched_in(&mut batch_pool, policy, &refs);
 
     assert_eq!(batched.len(), scalar.len());
-    for ((seed, b), s) in seeds.clone().zip(&batched).zip(&scalar) {
+    for ((seed, b), s) in seeds.zip(&batched).zip(&scalar) {
         assert_eq!(
             b, s,
             "lane for seed {seed} diverged ({} / {policy:?})",
@@ -91,6 +101,50 @@ fn random_scenario_grid_matches_scalar() {
         let base = next() % 1000;
         assert_batch_parity(&scenario, policy, base..base + 4);
         let _ = case;
+    }
+}
+
+/// `profile` on other breakpoints: its first segment split in two at
+/// the same value (the same function on a non-uniform grid), under
+/// `extension`.
+fn reshaped(profile: &PiecewiseConstant, extension: Extension) -> PiecewiseConstant {
+    let (start, end) = (profile.domain_start(), profile.domain_end());
+    let segs: Vec<_> = profile.segments_between(start, end).collect();
+    let mut breakpoints = vec![start];
+    let mut values = Vec::new();
+    let first = segs[0];
+    breakpoints.push(first.start + SimDuration::from_ticks(first.duration().as_ticks() / 2));
+    values.push(first.value);
+    for seg in &segs {
+        breakpoints.push(seg.end);
+        values.push(seg.value);
+    }
+    PiecewiseConstant::new(breakpoints, values, extension).expect("valid reshaped profile")
+}
+
+#[test]
+fn non_uniform_and_cyclic_profiles_run_lean_and_match() {
+    // The lean loop answers profile queries with the kernel's own
+    // methods, so any profile shape runs lean: a non-uniform grid takes
+    // the kernel's galloping search, a cyclic one folds its period.
+    let mut scenario = PaperScenario::new(0.6, 300.0);
+    scenario.num_tasks = 5;
+    scenario.horizon_units = 400;
+    for extension in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+        for policy in PolicyKind::ALL {
+            let prefabs: Vec<TrialPrefab> = (0..4)
+                .map(|s| {
+                    let mut prefab = scenario.prefab(s);
+                    prefab.profile = Arc::new(reshaped(&prefab.profile, extension));
+                    prefab
+                })
+                .collect();
+            assert_prefab_parity(&scenario, policy, &prefabs);
+            let refs: Vec<&TrialPrefab> = prefabs.iter().collect();
+            let mut pool = SimPool::new();
+            let _ = scenario.run_prefabs_batched_in(&mut pool, policy, &refs);
+            assert_eq!(pool.stats().batched_runs, 4, "{extension:?} lanes run lean");
+        }
     }
 }
 

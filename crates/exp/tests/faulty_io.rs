@@ -12,6 +12,7 @@
 //! across all three durability levels.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,10 +23,15 @@ use harvest_exp::store::{DecidedStore, PackStore, TrialStore};
 use harvest_obs::io::{Durability, FaultyIo, RetryPolicy, WriteFault};
 use proptest::prelude::*;
 
+/// A fresh directory for one call: the per-call counter keeps tests
+/// that run concurrently in this process (and share the pid and case
+/// number) from deleting each other's stores.
 fn scratch_dir(tag: &str, case: u64) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "harvest-faulty-io-{tag}-{case:016x}-{}",
-        std::process::id()
+        "harvest-faulty-io-{tag}-{case:016x}-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir

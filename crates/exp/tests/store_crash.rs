@@ -10,6 +10,7 @@
 //! than "it did not crash".
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use harvest_exp::cache::{SweepCache, TrialKey, TrialSummary};
 use harvest_exp::manifest::CellOutcome;
@@ -17,10 +18,15 @@ use harvest_exp::scenario::{PaperScenario, PolicyKind};
 use harvest_exp::store::{DecidedStore, PackStore, TrialStore};
 use proptest::prelude::*;
 
+/// A fresh directory for one call: the per-call counter keeps tests
+/// that run concurrently in this process (and share the pid and case
+/// number) from deleting each other's stores.
 fn scratch_dir(tag: &str, case: u64) -> PathBuf {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
-        "harvest-store-crash-{tag}-{case:016x}-{}",
-        std::process::id()
+        "harvest-store-crash-{tag}-{case:016x}-{}-{}",
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir

@@ -15,11 +15,18 @@
 //! form: a full [`Extension::Cycle`] period integrates to a constant, so
 //! cyclic integrals never unroll periods.
 //!
-//! Callers that sweep time monotonically (simulators, iterators) can hold
-//! a [`Cursor`]: it remembers the last segment touched and re-anchors
-//! with a short forward gallop, making `value_at` / `integrate` /
-//! breakpoint queries amortized `O(1)` while staying `O(log n)` worst
-//! case for arbitrary access.
+//! Segment lookup is `O(1)` on a uniform grid (equally spaced
+//! breakpoints, as [`PiecewiseConstant::from_samples`] builds every
+//! sampled harvest profile): the constructor records the common
+//! spacing, and the segment holding an in-domain instant is one integer
+//! division away. On non-uniform profiles (hand-built breakpoints,
+//! fault-injected blackouts) callers that sweep time monotonically
+//! (simulators, iterators) can hold a [`Cursor`]: it remembers the last
+//! segment touched and re-anchors with a short forward gallop, making
+//! `value_at` / `integrate` / breakpoint queries amortized `O(1)` while
+//! staying `O(log n)` worst case for arbitrary access. Either way
+//! [`PiecewiseConstant::segments_between`] resolves one segment per
+//! window and carries the index forward from there.
 
 use std::fmt;
 
@@ -133,9 +140,12 @@ pub struct PiecewiseConstant {
     vmin: f64,
     vmax: f64,
     /// Common breakpoint spacing in ticks when the grid is uniform, else
-    /// 0. Detected once at construction so [`Self::uniform_grid`] is
-    /// `O(1)`.
+    /// 0. Detected once at construction; a non-zero spacing turns
+    /// [`Self::locate`] into one division.
     uniform_dt: i64,
+    /// `1.0 / uniform_dt` (0 on non-uniform profiles), for the
+    /// strength-reduced division in [`Self::grid_index`].
+    inv_dt: f64,
 }
 
 /// Equality is over the semantic fields only; the prefix table is a
@@ -252,7 +262,10 @@ impl Cursor {
 /// The lookup counters partition [`locates`](Self::locates): a call
 /// either hits the hinted segment exactly, gallops forward (adding the
 /// number of segments skipped to `gallop_segments`), jumps backwards,
-/// or runs without a usable hint.
+/// or runs without a usable hint. On a uniform grid every lookup is
+/// one division, but it is classified against the hint the same way.
+/// Segment walks count at most one lookup per window: later segments
+/// carry the index forward and are not lookups.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
     /// Hinted segment lookups served.
@@ -357,6 +370,11 @@ impl PiecewiseConstant {
             vmin,
             vmax,
             uniform_dt,
+            inv_dt: if uniform_dt == 0 {
+                0.0
+            } else {
+                1.0 / uniform_dt as f64
+            },
         }
     }
 
@@ -463,30 +481,6 @@ impl PiecewiseConstant {
         Cursor::default()
     }
 
-    /// The `O(1)` direct-index view over this profile, available when the
-    /// breakpoints are equally spaced (as built by
-    /// [`Self::from_samples`]) and the extension is [`Extension::Hold`].
-    ///
-    /// Every view method computes the same IEEE expressions as its
-    /// cursor-driven counterpart — only the breakpoint *search* is
-    /// replaced by one integer division — so results are bit-identical
-    /// (pinned by the `grid_view_*` tests). Batched sweep lanes use one
-    /// view per lane over the shared prefix table instead of threading
-    /// per-lane [`Cursor`]s.
-    #[inline]
-    pub fn uniform_grid(&self) -> Option<UniformGridView<'_>> {
-        if self.uniform_dt == 0 || self.extension != Extension::Hold {
-            return None;
-        }
-        Some(UniformGridView {
-            f: self,
-            start_ticks: self.domain_start().as_ticks(),
-            end_ticks: self.domain_end().as_ticks(),
-            dt_ticks: self.uniform_dt,
-            inv_dt: 1.0 / self.uniform_dt as f64,
-        })
-    }
-
     /// Maps `t` into the explicit domain, returning the folded instant,
     /// the period image it fell in (non-zero only under `Cycle`), and
     /// whether the original instant was outside a non-cyclic domain.
@@ -511,13 +505,18 @@ impl PiecewiseConstant {
     }
 
     /// Segment index containing `t`, which must lie inside the explicit
-    /// domain. `hint` is the caller's last known index: the search
-    /// gallops forward from it with doubling strides and binary-searches
-    /// only the bracketed range, so a lookup `d` segments past the hint
-    /// costs `O(log d)` — `O(1)` for the repeat/adjacent hits that
-    /// dominate monotone sweeps — instead of `O(log n)` from scratch.
+    /// domain. On a uniform grid this is [`Self::grid_index`], one
+    /// division. Otherwise `hint` is the caller's last known index: the
+    /// search gallops forward from it with doubling strides and
+    /// binary-searches only the bracketed range, so a lookup `d`
+    /// segments past the hint costs `O(log d)` — `O(1)` for the
+    /// repeat/adjacent hits that dominate monotone sweeps — instead of
+    /// `O(log n)` from scratch.
     #[inline]
     fn locate(&self, t: SimTime, hint: Option<usize>) -> usize {
+        if self.uniform_dt != 0 {
+            return self.grid_index(t);
+        }
         let bps = &self.breakpoints;
         let last = self.values.len() - 1;
         if let Some(h) = hint {
@@ -549,6 +548,32 @@ impl PiecewiseConstant {
         // partition_point returns the count of breakpoints <= t;
         // segment index is that count minus one.
         (bps.partition_point(|&b| b <= t) - 1).min(last)
+    }
+
+    /// Segment index of an in-domain instant on a uniform grid.
+    ///
+    /// Uniform breakpoints sit at exactly `start + k·dt` (construction
+    /// verified every whole-tick gap), so the index is `(t − start) / dt`
+    /// — the same index the breakpoint search returns. The division is
+    /// strength-reduced to a reciprocal multiply with an exactness check:
+    /// in-domain offsets are far below 2^52, so the estimate is off by at
+    /// most one step, and a wrong estimate (or a pathologically large
+    /// offset) falls back to the exact division.
+    #[inline]
+    fn grid_index(&self, t: SimTime) -> usize {
+        let dt = self.uniform_dt;
+        let n = (t - self.domain_start()).as_ticks();
+        let mut k = (n as f64 * self.inv_dt) as i64;
+        let lo = k.wrapping_mul(dt);
+        if !(lo <= n && n.wrapping_sub(lo) < dt) {
+            k = n / dt;
+        }
+        debug_assert_eq!(k, n / dt);
+        debug_assert!(
+            (0..self.values.len() as i64).contains(&k),
+            "instant {t} outside the grid domain"
+        );
+        k as usize
     }
 
     /// [`locate`](Self::locate) driven by (and refreshing) a cursor. The
@@ -595,16 +620,8 @@ impl PiecewiseConstant {
     pub fn value_at_with(&self, cur: &mut Cursor, t: SimTime) -> f64 {
         let (folded, period, outside) = self.fold_with_period(t);
         match outside {
-            Outside::Before => match self.extension {
-                Extension::Hold => self.values[0],
-                Extension::Zero => 0.0,
-                Extension::Cycle => unreachable!("cycle folding maps into domain"),
-            },
-            Outside::After => match self.extension {
-                Extension::Hold => *self.values.last().expect("non-empty"),
-                Extension::Zero => 0.0,
-                Extension::Cycle => unreachable!("cycle folding maps into domain"),
-            },
+            Outside::Before => self.before_value(),
+            Outside::After => self.after_value(),
             Outside::Inside => self.values[self.locate_with(cur, folded, period)],
         }
     }
@@ -688,8 +705,9 @@ impl PiecewiseConstant {
     /// Iterates the maximal constant stretches of the function restricted
     /// to the window `[t1, t2)`, in order, covering it exactly.
     ///
-    /// The iterator carries its own [`Cursor`], so each step is `O(1)`
-    /// after the first.
+    /// The iterator resolves the segment holding `t1` once and then
+    /// carries the index forward, so every later step is `O(1)` and
+    /// needs no lookup at all.
     pub fn segments_between(&self, t1: SimTime, t2: SimTime) -> Segments<'_> {
         self.segments_between_with(Cursor::default(), t1, t2)
     }
@@ -705,6 +723,7 @@ impl PiecewiseConstant {
             cursor: t1,
             end: t2,
             cur,
+            carried: false,
         }
     }
 
@@ -1053,20 +1072,9 @@ impl ClampedScan {
         f: &PiecewiseConstant,
         lo: SimTime,
         hi: SimTime,
-        probe: Option<&mut Probe>,
-    ) -> Option<SimTime> {
-        self.scan(f.segments_between(lo, hi), probe)
-    }
-
-    /// The per-segment arithmetic of [`Self::run`] over any segment
-    /// stream; the grid view feeds it [`GridSegments`], which yields the
-    /// same segments as [`Segments`] over a uniform-grid window.
-    fn scan(
-        &mut self,
-        segs: impl Iterator<Item = Segment>,
         mut probe: Option<&mut Probe>,
     ) -> Option<SimTime> {
-        for seg in segs {
+        for seg in f.segments_between(lo, hi) {
             let rate = seg.value + self.offset;
             let span = seg.duration().as_units();
             let unclamped_end = self.level + rate * span;
@@ -1108,6 +1116,11 @@ pub struct Segments<'a> {
     cursor: SimTime,
     end: SimTime,
     cur: Cursor,
+    /// `true` while `cur` addresses exactly the segment (and period
+    /// image) that starts at `cursor`: the previous step ended on that
+    /// segment's first breakpoint, so the next step reads it directly
+    /// instead of locating it.
+    carried: bool,
 }
 
 impl Segments<'_> {
@@ -1122,24 +1135,94 @@ impl Segments<'_> {
 impl Iterator for Segments<'_> {
     type Item = Segment;
 
+    /// One clipped segment. The value and the next breakpoint are the
+    /// ones [`PiecewiseConstant::value_at_with`] and
+    /// [`PiecewiseConstant::next_breakpoint_after_with`] return at
+    /// `start`; at most the first step of a window looks a segment up.
     fn next(&mut self) -> Option<Segment> {
         if self.cursor >= self.end {
             return None;
         }
         let start = self.cursor;
-        let value = self.f.value_at_with(&mut self.cur, start);
-        let next_change = self
-            .f
-            .next_breakpoint_after_with(&mut self.cur, start)
-            .unwrap_or(SimTime::MAX);
+        let f = self.f;
+        let inside = if self.carried {
+            Some((self.cur.idx, self.cur.period))
+        } else {
+            match f.fold_with_period(start) {
+                (folded, period, Outside::Inside) => {
+                    Some((f.locate_with(&mut self.cur, folded, period), period))
+                }
+                _ => None,
+            }
+        };
+        // `following` is the segment that starts at `next_change`: the
+        // next index, wrapping into the next period image under `Cycle`,
+        // or the domain's first after a `Hold` / `Zero` lead-in. Past
+        // the domain end there is no index to carry.
+        let (value, next_change, following) = match inside {
+            Some((idx, period)) => {
+                let following = if idx + 1 < f.values.len() {
+                    Some((idx + 1, period))
+                } else if f.extension == Extension::Cycle {
+                    Some((0, period + 1))
+                } else {
+                    None
+                };
+                (
+                    f.values[idx],
+                    f.breakpoint_image(idx + 1, period),
+                    following,
+                )
+            }
+            None if start < f.domain_start() => (f.before_value(), f.domain_start(), Some((0, 0))),
+            None => (f.after_value(), SimTime::MAX, None),
+        };
         let end = next_change.min(self.end);
         debug_assert!(end > start, "segment iterator must make progress");
         self.cursor = end;
+        self.carried = false;
+        if end == next_change {
+            if let Some((idx, period)) = following {
+                self.cur.idx = idx;
+                self.cur.period = period;
+                self.cur.init = true;
+                self.carried = true;
+            }
+        }
         Some(Segment { start, end, value })
     }
 }
 
 impl PiecewiseConstant {
+    /// `breakpoints[i]` shifted into period image `period` (always 0
+    /// unless `Cycle`).
+    #[inline]
+    fn breakpoint_image(&self, i: usize, period: i64) -> SimTime {
+        if period == 0 {
+            return self.breakpoints[i];
+        }
+        let span = (self.domain_end() - self.domain_start()).as_ticks();
+        self.breakpoints[i] + SimDuration::from_ticks(period * span)
+    }
+
+    /// The value before a non-cyclic domain.
+    #[inline]
+    fn before_value(&self) -> f64 {
+        match self.extension {
+            Extension::Hold => self.values[0],
+            _ => 0.0,
+        }
+    }
+
+    /// The value after a non-cyclic domain.
+    #[inline]
+    fn after_value(&self) -> f64 {
+        match self.extension {
+            Extension::Hold => self.values[self.values.len() - 1],
+            _ => 0.0,
+        }
+    }
+
     /// Earliest breakpoint strictly after `t` at which the value may
     /// change, taking the extension rule into account. `None` means the
     /// function is constant for all time after `t`.
@@ -1150,329 +1233,17 @@ impl PiecewiseConstant {
     /// [`next_breakpoint_after`](Self::next_breakpoint_after) with cursor
     /// acceleration.
     pub fn next_breakpoint_after_with(&self, cur: &mut Cursor, t: SimTime) -> Option<SimTime> {
-        let start = self.domain_start();
-        let end = self.domain_end();
-        match self.extension {
-            Extension::Cycle => {
-                let period = (end - start).as_ticks();
-                let rel = (t - start).as_ticks();
-                let k = rel.div_euclid(period);
-                let r = rel.rem_euclid(period);
-                let base = t - SimDuration::from_ticks(r);
-                let folded = start + SimDuration::from_ticks(r);
-                // The folded instant lies in some segment [b_i, b_{i+1});
-                // b_{i+1} is the first breakpoint strictly after it.
-                let idx = self.locate_with(cur, folded, k);
-                let next_rel = (self.breakpoints[idx + 1] - start).as_ticks();
-                Some(base + SimDuration::from_ticks(next_rel))
-            }
-            _ => {
-                if t < start {
-                    return Some(start);
-                }
-                if t >= end {
-                    return None;
-                }
-                let idx = self.locate_with(cur, t, 0);
-                Some(self.breakpoints[idx + 1])
+        // The folded instant lies in some segment [b_i, b_{i+1}) of its
+        // period image; b_{i+1} in that image is the first breakpoint
+        // strictly after `t`.
+        match self.fold_with_period(t) {
+            (_, _, Outside::Before) => Some(self.domain_start()),
+            (_, _, Outside::After) => None,
+            (folded, period, Outside::Inside) => {
+                let idx = self.locate_with(cur, folded, period);
+                Some(self.breakpoint_image(idx + 1, period))
             }
         }
-    }
-}
-
-/// `O(1)` direct-index access to a uniform-grid, [`Extension::Hold`]
-/// profile, obtained from [`PiecewiseConstant::uniform_grid`].
-///
-/// On a uniform grid `breakpoints[k] = start + k·dt` holds exactly (the
-/// breakpoints are built — and verified — by whole-tick stepping), so the
-/// segment containing an in-domain instant is one integer division away
-/// and no cursor state is needed. Each method mirrors its cursor-driven
-/// counterpart expression for expression: the division replaces only the
-/// `partition_point` search, whose result it equals, so every returned
-/// value is bit-identical to the scalar path.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformGridView<'a> {
-    f: &'a PiecewiseConstant,
-    start_ticks: i64,
-    end_ticks: i64,
-    dt_ticks: i64,
-    /// `1.0 / dt_ticks`, for the strength-reduced [`Self::idx`].
-    inv_dt: f64,
-}
-
-impl<'a> UniformGridView<'a> {
-    /// The profile this view indexes into.
-    #[inline]
-    pub fn profile(&self) -> &'a PiecewiseConstant {
-        self.f
-    }
-
-    /// Segment index of an in-domain instant (`start <= t < end`).
-    ///
-    /// The division is strength-reduced to a reciprocal multiply with an
-    /// exactness check: in-domain offsets are far below 2^52, so the
-    /// estimate is off by at most one step, and a wrong estimate (or a
-    /// pathologically large offset) falls back to the exact division.
-    /// Every caller sits on the batched hot path — crossing-bisection
-    /// probes alone take ~20 of these per call.
-    #[inline]
-    fn idx(&self, t: SimTime) -> usize {
-        let n = t.as_ticks() - self.start_ticks;
-        let mut k = (n as f64 * self.inv_dt) as i64;
-        let lo = k.wrapping_mul(self.dt_ticks);
-        if !(lo <= n && n.wrapping_sub(lo) < self.dt_ticks) {
-            k = n / self.dt_ticks;
-        }
-        debug_assert_eq!(k, n / self.dt_ticks);
-        debug_assert!(
-            (0..self.f.values.len() as i64).contains(&k),
-            "instant {t} outside the grid domain"
-        );
-        k as usize
-    }
-
-    /// [`PiecewiseConstant::value_at`] without the search.
-    #[inline]
-    pub fn value_at(&self, t: SimTime) -> f64 {
-        let tk = t.as_ticks();
-        if tk < self.start_ticks {
-            return self.f.values[0];
-        }
-        if tk >= self.end_ticks {
-            return self.f.values[self.f.values.len() - 1];
-        }
-        self.f.values[self.idx(t)]
-    }
-
-    /// Cumulative integral `F(t)` — the Hold arm of the cursor path's
-    /// `cum_with`, with the located index substituted.
-    #[inline]
-    fn cum(&self, t: SimTime) -> f64 {
-        let f = self.f;
-        let tk = t.as_ticks();
-        if tk >= self.start_ticks && tk < self.end_ticks {
-            let idx = self.idx(t);
-            return f.prefix[idx] + f.values[idx] * (t - f.breakpoints[idx]).as_units();
-        }
-        if tk < self.start_ticks {
-            f.values[0] * (t - f.domain_start()).as_units()
-        } else {
-            f.total() + f.values[f.values.len() - 1] * (t - f.domain_end()).as_units()
-        }
-    }
-
-    /// [`PiecewiseConstant::integrate`] without the searches: the same
-    /// antiderivative difference `F(t2) − F(t1)`.
-    #[inline]
-    pub fn integrate(&self, t1: SimTime, t2: SimTime) -> f64 {
-        let a = self.cum(t1);
-        let b = self.cum(t2);
-        b - a
-    }
-
-    /// [`PiecewiseConstant::next_breakpoint_after`] without the search.
-    #[inline]
-    pub fn next_breakpoint_after(&self, t: SimTime) -> Option<SimTime> {
-        if t.as_ticks() < self.start_ticks {
-            return Some(self.f.domain_start());
-        }
-        if t.as_ticks() >= self.end_ticks {
-            return None;
-        }
-        Some(self.f.breakpoints[self.idx(t) + 1])
-    }
-
-    /// [`PiecewiseConstant::segments_between`] without per-step searches;
-    /// yields the identical segment sequence.
-    pub fn segments_between(&self, t1: SimTime, t2: SimTime) -> GridSegments<'a> {
-        GridSegments {
-            g: *self,
-            cursor: t1,
-            end: t2,
-            i: -1,
-        }
-    }
-
-    /// Visits the same clipped segments as [`Self::segments_between`],
-    /// but by direct index stepping: the segment index is resolved once
-    /// and incremented, instead of re-derived (twice — value and
-    /// breakpoint) per step. Emitted `[start, end, value)` triples are
-    /// identical to the iterator's, so any arithmetic the caller folds
-    /// over them is bit-identical.
-    #[inline]
-    pub fn for_each_segment(&self, t1: SimTime, t2: SimTime, mut emit: impl FnMut(Segment)) {
-        if t1 >= t2 {
-            return;
-        }
-        let f = self.f;
-        let mut cursor = t1;
-        if cursor.as_ticks() < self.start_ticks {
-            let end = f.domain_start().min(t2);
-            emit(Segment {
-                start: cursor,
-                end,
-                value: f.values[0],
-            });
-            cursor = end;
-        }
-        if cursor < t2 && cursor.as_ticks() < self.end_ticks {
-            let mut i = self.idx(cursor);
-            loop {
-                let end = f.breakpoints[i + 1].min(t2);
-                emit(Segment {
-                    start: cursor,
-                    end,
-                    value: f.values[i],
-                });
-                cursor = end;
-                i += 1;
-                if cursor >= t2 || i == f.values.len() {
-                    break;
-                }
-            }
-        }
-        if cursor < t2 {
-            emit(Segment {
-                start: cursor,
-                end: t2,
-                value: f.values[f.values.len() - 1],
-            });
-        }
-    }
-
-    /// [`PiecewiseConstant::first_accumulation_crossing`] specialized to
-    /// the Hold extension: the same `O(1)` reject, the same monotone tick
-    /// bisection (each probe now `O(1)` instead of `O(log n)`), and the
-    /// same clamped segment scan on genuinely non-monotone windows.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as the cursor path.
-    pub fn first_accumulation_crossing(
-        &self,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        cap: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        assert!(cap >= 0.0, "capacity must be non-negative");
-        assert!(
-            (0.0..=cap).contains(&initial),
-            "initial level outside [0, cap]"
-        );
-        assert!(
-            (0.0..=cap).contains(&target),
-            "target level outside [0, cap]"
-        );
-        if initial == target {
-            return Some(from);
-        }
-        if from >= horizon {
-            return None;
-        }
-        let (rate_min, rate_max) = (self.f.vmin + offset, self.f.vmax + offset);
-        if (target > initial && rate_max <= 0.0) || (target < initial && rate_min >= 0.0) {
-            return None;
-        }
-        let monotone =
-            (target > initial && rate_min >= 0.0) || (target < initial && rate_max <= 0.0);
-        if monotone {
-            return self.monotone_crossing(from, horizon, initial, offset, target);
-        }
-        let mut scan = ClampedScan {
-            level: initial,
-            offset,
-            cap,
-            target,
-        };
-        scan.scan(self.segments_between(from, horizon), None)
-    }
-
-    /// The monotone tick bisection of the cursor path, probing through
-    /// the `O(1)` [`Self::cum`] (the scalar path's probes already use
-    /// fresh cursors, so the substitution is exact).
-    fn monotone_crossing(
-        &self,
-        from: SimTime,
-        horizon: SimTime,
-        initial: f64,
-        offset: f64,
-        target: f64,
-    ) -> Option<SimTime> {
-        let needed = target - initial;
-        let cum_from = self.cum(from);
-        let g_at = |t: SimTime| self.cum(t) - cum_from + offset * (t - from).as_units();
-        let reached = |g: f64| {
-            if needed > 0.0 {
-                g >= needed - 1e-15
-            } else {
-                g <= needed + 1e-15
-            }
-        };
-        if reached(0.0) {
-            return Some(from);
-        }
-        if !reached(g_at(horizon)) {
-            return None;
-        }
-        let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
-        while hi - lo > 1 {
-            let mid = lo + (hi - lo) / 2;
-            if reached(g_at(SimTime::from_ticks(mid))) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        Some(SimTime::from_ticks(hi))
-    }
-}
-
-/// Segment iterator of a [`UniformGridView`]; yields exactly what
-/// [`Segments`] yields over the same window. In-domain steps carry the
-/// segment index forward instead of re-deriving it (twice — value and
-/// breakpoint) per step.
-#[derive(Debug)]
-pub struct GridSegments<'a> {
-    g: UniformGridView<'a>,
-    cursor: SimTime,
-    end: SimTime,
-    /// Index of the segment containing `cursor` when known, else -1.
-    /// Only consulted while `cursor` is in-domain.
-    i: i64,
-}
-
-impl Iterator for GridSegments<'_> {
-    type Item = Segment;
-
-    fn next(&mut self) -> Option<Segment> {
-        if self.cursor >= self.end {
-            return None;
-        }
-        let start = self.cursor;
-        let f = self.g.f;
-        let tk = start.as_ticks();
-        let (value, next_change) = if tk < self.g.start_ticks {
-            self.i = 0;
-            (f.values[0], f.domain_start())
-        } else if tk >= self.g.end_ticks {
-            (f.values[f.values.len() - 1], SimTime::MAX)
-        } else {
-            let i = if self.i >= 0 {
-                self.i as usize
-            } else {
-                self.g.idx(start)
-            };
-            debug_assert_eq!(i, self.g.idx(start), "stale carried segment index");
-            self.i = i as i64 + 1;
-            (f.values[i], f.breakpoints[i + 1])
-        };
-        let end = next_change.min(self.end);
-        debug_assert!(end > start, "segment iterator must make progress");
-        self.cursor = end;
-        Some(Segment { start, end, value })
     }
 }
 
@@ -1984,7 +1755,7 @@ mod tests {
         x
     }
 
-    fn grid_profile(seed: u64, n: usize) -> PiecewiseConstant {
+    fn grid_profile(seed: u64, n: usize, extension: Extension) -> PiecewiseConstant {
         let mut s = seed.max(1);
         let samples: Vec<f64> = (0..n)
             .map(|_| (xorshift(&mut s) % 1000) as f64 / 137.0 - 1.5)
@@ -1993,17 +1764,37 @@ mod tests {
             SimTime::from_whole_units(-3),
             SimDuration::from_units(0.75),
             samples,
-            Extension::Hold,
+            extension,
         )
         .unwrap()
     }
 
+    /// `f` with one more segment, one tick wider than the grid step and
+    /// holding `f`'s last value: non-uniform, so every lookup gallops,
+    /// yet identical to `f` on `f`'s domain, with the same value range
+    /// (so crossing queries pick the same solver tier).
+    fn galloping_twin(f: &PiecewiseConstant) -> PiecewiseConstant {
+        let mut breakpoints = f.breakpoints.clone();
+        let mut values = f.values.clone();
+        breakpoints.push(f.domain_end() + SimDuration::from_ticks(f.uniform_dt + 1));
+        values.push(values[values.len() - 1]);
+        let twin = PiecewiseConstant::new(breakpoints, values, f.extension).unwrap();
+        assert_eq!(twin.uniform_dt, 0, "the twin must take the galloping path");
+        twin
+    }
+
+    /// A uniform in-domain instant of `f`, from raw random bits.
+    fn in_domain(f: &PiecewiseConstant, bits: u64) -> SimTime {
+        let span = (f.domain_end() - f.domain_start()).as_ticks() as u64;
+        f.domain_start() + SimDuration::from_ticks((bits % span) as i64)
+    }
+
     #[test]
     fn uniform_grid_detection() {
-        assert!(grid_profile(7, 40).uniform_grid().is_some());
-        // Non-uniform spacing: no view.
-        let f = sample_fn(); // gaps 10, 10, 10 — uniform, so this HAS one
-        assert!(f.uniform_grid().is_some());
+        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            assert_ne!(grid_profile(7, 40, ext).uniform_dt, 0, "{ext:?}");
+        }
+        assert_ne!(sample_fn().uniform_dt, 0, "gaps 10, 10, 10 are uniform");
         let g = PiecewiseConstant::new(
             vec![
                 SimTime::ZERO,
@@ -2014,75 +1805,140 @@ mod tests {
             Extension::Hold,
         )
         .unwrap();
-        assert!(g.uniform_grid().is_none());
-        // Uniform but cyclic: the view only models Hold tails.
-        let c = PiecewiseConstant::new(
-            vec![
-                SimTime::ZERO,
-                SimTime::from_whole_units(1),
-                SimTime::from_whole_units(2),
-            ],
-            vec![1.0, 2.0],
-            Extension::Cycle,
-        )
-        .unwrap();
-        assert!(c.uniform_grid().is_none());
+        assert_eq!(g.uniform_dt, 0);
+        assert_eq!(g.inv_dt, 0.0);
     }
 
+    /// The division lookup on a uniform grid answers exactly what the
+    /// galloping search and a plain breakpoint scan answer, bit for bit,
+    /// and the prefix integral stays within rounding of the
+    /// segment-walk reference.
     #[test]
-    fn grid_view_lookups_bit_identical() {
-        for seed in 1..6u64 {
-            let f = grid_profile(seed, 64);
-            let g = f.uniform_grid().unwrap();
-            let mut s = seed.wrapping_mul(0x9E37_79B9).max(1);
-            for _ in 0..400 {
-                let t = SimTime::from_ticks((xorshift(&mut s) % 80_000_000) as i64 - 10_000_000);
-                assert_eq!(
-                    g.value_at(t).to_bits(),
-                    f.value_at(t).to_bits(),
-                    "value at {t}"
-                );
-                assert_eq!(
-                    g.next_breakpoint_after(t),
-                    f.next_breakpoint_after(t),
-                    "breakpoint after {t}"
-                );
-                let t2 = t + SimDuration::from_ticks((xorshift(&mut s) % 20_000_000) as i64);
-                assert_eq!(
-                    g.integrate(t, t2).to_bits(),
-                    f.integrate_with(&mut f.cursor(), t, t2).to_bits(),
-                    "integral over [{t}, {t2})"
-                );
-                let segs_grid: Vec<_> = g.segments_between(t, t2).collect();
-                let segs_scalar: Vec<_> = f.segments_between(t, t2).collect();
-                assert_eq!(segs_grid, segs_scalar, "segments over [{t}, {t2})");
+    fn uniform_lookups_bit_identical() {
+        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            for seed in 1..6u64 {
+                let f = grid_profile(seed, 64, ext);
+                let twin = galloping_twin(&f);
+                let mut cur = f.cursor();
+                let mut s = seed.wrapping_mul(0x9E37_79B9).max(1);
+                for _ in 0..400 {
+                    let t = in_domain(&f, xorshift(&mut s));
+                    let idx = f.breakpoints.iter().rposition(|&b| b <= t).unwrap();
+                    assert_eq!(f.value_at(t).to_bits(), f.values[idx].to_bits());
+                    assert_eq!(f.value_at(t).to_bits(), twin.value_at(t).to_bits());
+                    assert_eq!(
+                        f.next_breakpoint_after(t),
+                        Some(f.breakpoints[idx + 1]),
+                        "breakpoint after {t}"
+                    );
+                    assert_eq!(f.next_breakpoint_after(t), twin.next_breakpoint_after(t));
+                    let t2 = t.max(in_domain(&f, xorshift(&mut s)));
+                    let fast = f.integrate(t, t2);
+                    assert_eq!(
+                        fast.to_bits(),
+                        twin.integrate(t, t2).to_bits(),
+                        "integral over [{t}, {t2})"
+                    );
+                    assert_eq!(fast.to_bits(), f.integrate_with(&mut cur, t, t2).to_bits());
+                    let naive = f.integrate_naive(t, t2);
+                    assert!(
+                        (fast - naive).abs() < 1e-9 * (1.0 + naive.abs()),
+                        "{ext:?} [{t}, {t2}): prefix {fast} vs naive {naive}"
+                    );
+                    let segs: Vec<_> = f.segments_between(t, t2).collect();
+                    let twin_segs: Vec<_> = twin.segments_between(t, t2).collect();
+                    assert_eq!(segs, twin_segs, "segments over [{t}, {t2})");
+                }
             }
         }
     }
 
+    /// Crossing solves on a uniform grid match the galloping path
+    /// exactly, and the whole-window scan reference up to the one tick
+    /// the solver tiers may round differently.
     #[test]
-    fn grid_view_crossings_bit_identical() {
-        for seed in 1..6u64 {
-            let f = grid_profile(seed, 48);
-            let g = f.uniform_grid().unwrap();
-            let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
-            let cap = 25.0;
-            for _ in 0..200 {
-                let from = SimTime::from_ticks((xorshift(&mut s) % 40_000_000) as i64 - 5_000_000);
-                let horizon =
-                    from + SimDuration::from_ticks((xorshift(&mut s) % 60_000_000) as i64);
-                let initial = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
-                let target = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
-                let offset = (xorshift(&mut s) % 1000) as f64 / 137.0 - 3.5;
-                let want =
-                    f.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
-                let got =
-                    g.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
-                assert_eq!(
-                    got, want,
-                    "crossing from {from} to {horizon}, {initial}->{target} offset {offset}"
-                );
+    fn uniform_crossings_match_gallop_and_naive() {
+        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            for seed in 1..6u64 {
+                let f = grid_profile(seed, 48, ext);
+                let twin = galloping_twin(&f);
+                let mut s = seed.wrapping_mul(0xA076_1D64).max(1);
+                let cap = 25.0;
+                for _ in 0..200 {
+                    let (a, b) = (
+                        in_domain(&f, xorshift(&mut s)),
+                        in_domain(&f, xorshift(&mut s)),
+                    );
+                    let (from, horizon) = (a.min(b), a.max(b));
+                    let initial = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
+                    let target = (xorshift(&mut s) % 1000) as f64 / 999.0 * cap;
+                    let offset = (xorshift(&mut s) % 1000) as f64 / 137.0 - 3.5;
+                    let got =
+                        f.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
+                    let naive = f.first_accumulation_crossing_naive(
+                        from, horizon, initial, offset, cap, target,
+                    );
+                    let what = format!(
+                        "{ext:?} crossing from {from} to {horizon}, {initial}->{target} \
+                         offset {offset}"
+                    );
+                    // The cyclic scanner skips whole periods, and the
+                    // twin's period is longer, so only the non-cyclic
+                    // solves are comparable across the two profiles.
+                    if ext != Extension::Cycle {
+                        let want = twin.first_accumulation_crossing(
+                            from, horizon, initial, offset, cap, target,
+                        );
+                        assert_eq!(got, want, "{what}");
+                    }
+                    match (got, naive) {
+                        (Some(g), Some(n)) => {
+                            assert!(
+                                (g.as_ticks() - n.as_ticks()).abs() <= 1,
+                                "{what}: {g} vs {n}"
+                            )
+                        }
+                        (None, None) => {}
+                        (Some(t), None) | (None, Some(t)) => assert!(
+                            horizon.as_ticks() - t.as_ticks() <= 1,
+                            "{what}: only one path found {t}"
+                        ),
+                    }
+                }
             }
+        }
+    }
+
+    /// A segment walk carries its index across breakpoints, period
+    /// wraps and a `Hold`/`Zero` lead-in: it looks a segment up at most
+    /// once per window, and yields exactly the point lookups' segments.
+    #[test]
+    fn segment_walk_locates_once_per_window() {
+        for ext in [Extension::Hold, Extension::Zero, Extension::Cycle] {
+            let f = grid_profile(3, 16, ext);
+            let (t1, t2) = (
+                SimTime::from_whole_units(-20),
+                SimTime::from_whole_units(40),
+            );
+            let mut segs = f.segments_between(t1, t2);
+            let walked: Vec<_> = segs.by_ref().collect();
+            let stats = segs.state().stats();
+            // A `Hold`/`Zero` walk that starts before the domain enters
+            // it at segment 0 and needs no lookup at all.
+            assert!(stats.locates <= 1, "{ext:?}: {stats:?}");
+            let mut t = t1;
+            for seg in &walked {
+                assert_eq!(seg.start, t);
+                assert_eq!(
+                    seg.value.to_bits(),
+                    f.value_at(t).to_bits(),
+                    "{ext:?} at {t}"
+                );
+                let next = f.next_breakpoint_after(t).unwrap_or(SimTime::MAX);
+                assert_eq!(seg.end, next.min(t2), "{ext:?} at {t}");
+                t = seg.end;
+            }
+            assert_eq!(t, t2);
         }
     }
 

@@ -6,49 +6,61 @@ use harvest_sim::stats::RunningStats;
 use harvest_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-fn profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
-    (
-        proptest::collection::vec(0.0f64..10.0, 1..40),
+fn extension_strategy() -> impl Strategy<Value = Extension> {
+    prop_oneof![
+        Just(Extension::Hold),
+        Just(Extension::Zero),
+        Just(Extension::Cycle)
+    ]
+}
+
+/// Profiles over values drawn from `lo..hi`, in two shapes: equally
+/// spaced samples (the uniform grid, whose lookups are one division)
+/// and random increasing breakpoints (which take the galloping cursor
+/// search). Both start at a random, possibly negative, instant.
+fn profiles_over(lo: f64, hi: f64) -> impl Strategy<Value = PiecewiseConstant> {
+    let uniform = (
+        proptest::collection::vec(lo..hi, 1..40),
         1i64..5,
-        prop_oneof![
-            Just(Extension::Hold),
-            Just(Extension::Zero),
-            Just(Extension::Cycle)
-        ],
+        -30i64..30,
+        extension_strategy(),
     )
-        .prop_map(|(values, dt, ext)| {
+        .prop_map(|(values, dt, start, ext)| {
             PiecewiseConstant::from_samples(
-                SimTime::ZERO,
+                SimTime::from_whole_units(start),
                 SimDuration::from_whole_units(dt),
                 values,
                 ext,
             )
             .expect("valid grid")
-        })
+        });
+    let non_uniform = (
+        proptest::collection::vec((lo..hi, 0.05f64..6.0), 2..40),
+        -30.0f64..30.0,
+        extension_strategy(),
+    )
+        .prop_map(|(pieces, start, ext)| {
+            let mut t = SimTime::from_units(start);
+            let mut breakpoints = vec![t];
+            for &(_, width) in &pieces {
+                t += SimDuration::from_units(width);
+                breakpoints.push(t);
+            }
+            let values = pieces.iter().map(|&(v, _)| v).collect();
+            PiecewiseConstant::new(breakpoints, values, ext).expect("increasing breakpoints")
+        });
+    prop_oneof![uniform, non_uniform]
+}
+
+fn profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
+    profiles_over(0.0, 10.0)
 }
 
 /// Like [`profile_strategy`], but with sign-changing values, so the
 /// prefix-vs-naive parity properties also exercise profiles whose
 /// integral is non-monotone.
 fn signed_profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
-    (
-        proptest::collection::vec(-6.0f64..10.0, 1..40),
-        1i64..5,
-        prop_oneof![
-            Just(Extension::Hold),
-            Just(Extension::Zero),
-            Just(Extension::Cycle)
-        ],
-    )
-        .prop_map(|(values, dt, ext)| {
-            PiecewiseConstant::from_samples(
-                SimTime::ZERO,
-                SimDuration::from_whole_units(dt),
-                values,
-                ext,
-            )
-            .expect("valid grid")
-        })
+    profiles_over(-6.0, 10.0)
 }
 
 proptest! {
