@@ -11,13 +11,13 @@
 //! cells grow; the microcell isolates what is being measured instead of
 //! burying it under simulation work.
 //!
-//! Seven modes are timed as `sweep/trials_*`:
+//! Five modes are timed as `sweep/trials_*`:
 //!
 //! * `cold` — the pre-PR4 fast path: shared prefab, but fresh queues,
 //!   registry, and boxed policy every run.
 //! * `pooled` — `run_prefab_in` through one reused [`SimPool`], with
 //!   the release tape stripped: this is the PR 4 reference path the
-//!   tape and batch speedups are measured against.
+//!   tape speedup is measured against.
 //! * `tape` — the same pooled run with the prefab's release tape:
 //!   every `Arrival` is a cursor bump instead of a heap pop, nothing
 //!   else changes.
@@ -25,13 +25,6 @@
 //!   JSON file per probe.
 //! * `store_warm` — a warm [`PackStore`] hit: one fingerprint map
 //!   lookup plus an in-memory record decode, zero syscalls.
-//! * `batched_b{4,8,16}` — B sibling trials (seeds 0..B) per iteration
-//!   through the structure-of-arrays engine
-//!   (`run_prefabs_batched_in`), tapes on; per-trial time is the
-//!   iteration time divided by B.
-//! * `policy_lockstep` — all four policy arms of one seed per
-//!   iteration through the lockstep batch (`run_arms_batched_in`);
-//!   per-trial time is the iteration time divided by the arm count.
 //!
 //! Three write-path modes time the store's durability levels as
 //! `sweep/store_append_{none,batch,record}`: one decided-record append
@@ -45,9 +38,9 @@
 //!
 //! Running this bench writes `BENCH_PR10.json` at the workspace root:
 //! raw medians, trials/sec per mode with the pooled-vs-cold,
-//! cached-vs-cold, store-warm-vs-cached, and batched-vs-pooled (at
-//! B = 8) speedups, heap-allocation counts per trial (cold vs pooled vs
-//! batched, via a counting global allocator), and the per-worker
+//! cached-vs-cold, store-warm-vs-cached and tape-vs-pooled speedups,
+//! heap-allocation counts per trial (cold vs pooled, via a counting
+//! global allocator), and the per-worker
 //! allocation/item counts of one sharded pooled mini-sweep — workers
 //! after the first few trials should allocate only what the results
 //! themselves need, and (with the start-line barrier in
@@ -69,8 +62,11 @@
 //! `--check-regression PATH` to compare the fresh `trials_per_sec`
 //! medians against a committed baseline report (e.g. `BENCH_PR7.json`)
 //! instead of writing one: any mode that drops more than 20% prints a
-//! `REGRESSION` line and the process exits 1 (a failing CI step; modes
-//! the baseline predates are skipped).
+//! `REGRESSION` line and the process exits 1 (a failing CI step). A
+//! baseline mode with no fresh measurement fails the gate too, except
+//! the retired batched-engine modes (`batched_b*`, `policy_lockstep`),
+//! which are checked against `tape`, the scalar path that replaced
+//! them. Modes the baseline predates are not checked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -317,38 +313,6 @@ fn durability_append_modes(
     dirs
 }
 
-/// The batch widths timed and reported.
-const BATCH_WIDTHS: [usize; 3] = [4, 8, 16];
-
-/// `sweep/trials_batched_b{4,8,16}`: one SoA pass over B sibling
-/// microcell trials per iteration, all through one reused pool (the
-/// batch context's slabs persist across iterations).
-fn batched_modes(c: &mut Criterion, s: &PaperScenario, refs: &[&TrialPrefab]) {
-    let mut g = c.benchmark_group("sweep");
-    for width in BATCH_WIDTHS {
-        let mut pool = SimPool::new();
-        g.bench_function(format!("trials_batched_b{width}"), |b| {
-            b.iter(|| black_box(s.run_prefabs_batched_in(&mut pool, POLICY, &refs[..width])))
-        });
-    }
-    g.finish();
-}
-
-/// `sweep/trials_policy_lockstep`: every policy arm of one seed per
-/// iteration through the lockstep batch — the arms replay one release
-/// tape, so cross-lane instants stay synchronous far longer than
-/// sibling seeds manage.
-fn policy_lockstep_mode(c: &mut Criterion, s: &PaperScenario, prefab: &TrialPrefab) {
-    let mut g = c.benchmark_group("sweep");
-    let arms: Vec<(PolicyKind, &TrialPrefab)> =
-        PolicyKind::ALL.iter().map(|&p| (p, prefab)).collect();
-    let mut pool = SimPool::new();
-    g.bench_function("trials_policy_lockstep", |b| {
-        b.iter(|| black_box(s.run_arms_batched_in(&mut pool, &arms)))
-    });
-    g.finish();
-}
-
 /// Median heap allocations per trial for a run closure, measured on
 /// this thread outside any timed region.
 fn allocs_per_trial(mut run: impl FnMut()) -> u64 {
@@ -428,12 +392,7 @@ fn sharded_worker_allocs(s: &PaperScenario, prefab: &TrialPrefab) -> Vec<Value> 
         .collect()
 }
 
-fn write_report(
-    path: &std::path::Path,
-    s: &PaperScenario,
-    prefab: &TrialPrefab,
-    refs: &[&TrialPrefab],
-) {
+fn write_report(path: &std::path::Path, s: &PaperScenario, prefab: &TrialPrefab) {
     let results = criterion::all_results();
     let entries: Vec<Value> = results
         .iter()
@@ -467,23 +426,6 @@ fn write_report(
             if let Some(tape) = find("sweep/trials_tape") {
                 modes.push(("tape".to_string(), Value::F64(1e9 / tape)));
             }
-            // One batched iteration simulates `width` trials, so the
-            // per-trial rate is width / iteration time.
-            for width in BATCH_WIDTHS {
-                if let Some(ns) = find(&format!("sweep/trials_batched_b{width}")) {
-                    modes.push((
-                        format!("batched_b{width}"),
-                        Value::F64(width as f64 * 1e9 / ns),
-                    ));
-                }
-            }
-            let arm_count = PolicyKind::ALL.len() as f64;
-            if let Some(ns) = find("sweep/trials_policy_lockstep") {
-                modes.push((
-                    "policy_lockstep".to_string(),
-                    Value::F64(arm_count * 1e9 / ns),
-                ));
-            }
             modes.push(("pooled_vs_cold".to_string(), Value::F64(cold / pooled)));
             modes.push(("cached_vs_cold".to_string(), Value::F64(cold / cached)));
             modes.push((
@@ -492,18 +434,6 @@ fn write_report(
             ));
             if let Some(tape) = find("sweep/trials_tape") {
                 modes.push(("tape_vs_pooled".to_string(), Value::F64(pooled / tape)));
-            }
-            if let Some(b8) = find("sweep/trials_batched_b8") {
-                modes.push((
-                    "batched_vs_pooled".to_string(),
-                    Value::F64(pooled / (b8 / 8.0)),
-                ));
-            }
-            if let Some(ns) = find("sweep/trials_policy_lockstep") {
-                modes.push((
-                    "policy_lockstep_vs_pooled".to_string(),
-                    Value::F64(pooled / (ns / arm_count)),
-                ));
             }
             // The pack store's whole point: a warm probe is a map lookup
             // and an in-memory decode, not a file open/read/parse. Fail
@@ -564,14 +494,6 @@ fn write_report(
     let pooled_allocs = allocs_per_trial(|| {
         black_box(s.run_prefab_in(&mut pool, POLICY, prefab));
     });
-    // Per-trial allocations of one B = 8 batch: the batch context keeps
-    // its SoA slabs across passes, so after warmup this should be O(1)
-    // slab work per pass plus only what the eight results themselves
-    // need — not eight times the pooled count.
-    let mut pool = SimPool::new();
-    let batched_allocs = allocs_per_trial(|| {
-        black_box(s.run_prefabs_batched_in(&mut pool, POLICY, &refs[..8]));
-    }) / 8;
     let per_worker = sharded_worker_allocs(s, prefab);
 
     let doc = Value::Map(vec![
@@ -603,10 +525,6 @@ fn write_report(
             Value::Map(vec![
                 ("cold_per_trial".to_string(), Value::U64(cold_allocs)),
                 ("pooled_per_trial".to_string(), Value::U64(pooled_allocs)),
-                (
-                    "batched_b8_per_trial".to_string(),
-                    Value::U64(batched_allocs),
-                ),
                 ("sharded_per_worker".to_string(), Value::Seq(per_worker)),
             ]),
         ),
@@ -616,10 +534,21 @@ fn write_report(
     println!("wrote {}", path.display());
 }
 
+/// The fresh mode a baseline mode is checked against: itself, except
+/// the retired batched-engine modes, which the scalar taped path
+/// replaced and so must keep pace with.
+fn gated_mode(mode: &str) -> &str {
+    if mode.starts_with("batched_b") || mode == "policy_lockstep" {
+        "tape"
+    } else {
+        mode
+    }
+}
+
 /// Compares the fresh medians against a committed baseline report's
 /// `trials_per_sec` modes. Ratio entries (`*_vs_*`) are derived, not
 /// measured, so only the raw per-mode rates are compared. Returns
-/// `true` when any mode dropped more than 20%.
+/// `true` when any mode dropped more than 20% or has no fresh rate.
 fn check_regression(baseline: &std::path::Path) -> bool {
     // Cargo runs benches with the package dir as cwd; a relative
     // baseline path is meant against the workspace root.
@@ -638,33 +567,34 @@ fn check_regression(baseline: &std::path::Path) -> bool {
         .unwrap_or_default();
     let results = criterion::all_results();
     let fresh_rate = |mode: &str| -> Option<f64> {
-        let ns = results
+        results
             .iter()
             .find(|r| r.id == format!("sweep/trials_{mode}"))
-            .map(|r| r.ns_per_iter)?;
-        // One batched iteration simulates `width` trials; one lockstep
-        // iteration simulates every policy arm.
-        let per_iter = match mode {
-            "policy_lockstep" => PolicyKind::ALL.len() as f64,
-            _ => mode
-                .strip_prefix("batched_b")
-                .and_then(|w| w.parse::<f64>().ok())
-                .unwrap_or(1.0),
-        };
-        Some(per_iter * 1e9 / ns)
+            .map(|r| 1e9 / r.ns_per_iter)
     };
     let mut regressed = false;
     for (mode, value) in &baseline_modes {
         if mode.contains("_vs_") {
             continue;
         }
-        let (Some(base), Some(now)) = (value.as_f64(), fresh_rate(mode)) else {
+        let base = value
+            .as_f64()
+            .unwrap_or_else(|| panic!("baseline mode {mode} is not a number"));
+        let fresh = gated_mode(mode);
+        let Some(now) = fresh_rate(fresh) else {
+            println!("regression-check {mode}: no fresh `{fresh}` rate  << MISSING");
+            regressed = true;
             continue;
         };
         let ratio = now / base;
         let flag = ratio < 0.8;
+        let checked_as = if fresh == mode {
+            String::new()
+        } else {
+            format!(" (as {fresh})")
+        };
         println!(
-            "regression-check {mode}: baseline {base:.0}/s now {now:.0}/s ({:+.1}%){}",
+            "regression-check {mode}{checked_as}: baseline {base:.0}/s now {now:.0}/s ({:+.1}%){}",
             (ratio - 1.0) * 100.0,
             if flag { "  << REGRESSION" } else { "" }
         );
@@ -695,14 +625,10 @@ fn main() {
     let s = scenario();
     let prefab = s.prefab(SEED);
     let heap_prefab = prefab.clone().without_tape();
-    let siblings: Vec<TrialPrefab> = (0..16).map(|seed| s.prefab(seed)).collect();
-    let refs: Vec<&TrialPrefab> = siblings.iter().collect();
     let (cache, cache_dir) = warm_cache(&s, &prefab);
     let (store, store_dir) = warm_store(&s, &prefab);
     let (figure_store, figure_dir) = warm_figure_store();
     trial_modes(&mut c, &s, &prefab, &heap_prefab, &cache, &store);
-    batched_modes(&mut c, &s, &refs);
-    policy_lockstep_mode(&mut c, &s, &prefab);
     figure_telemetry_modes(&mut c, &figure_store);
     let durability_dirs = durability_append_modes(&mut c, &s, &prefab);
     let cleanup = || {
@@ -728,6 +654,6 @@ fn main() {
         return;
     }
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    write_report(&root.join("BENCH_PR10.json"), &s, &prefab, &refs);
+    write_report(&root.join("BENCH_PR10.json"), &s, &prefab);
     cleanup();
 }

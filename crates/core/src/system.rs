@@ -46,7 +46,7 @@ use crate::trace::TraceEvent;
 
 /// Stored-energy amounts below this are treated as "empty" when deciding
 /// whether execution can proceed.
-pub(crate) const ENERGY_EPS: f64 = 1e-9;
+const ENERGY_EPS: f64 = 1e-9;
 
 /// Phase name for the continuous-state advance ([`SystemModel::sync_to`]:
 /// storage integration, accounting, job progress) in a profiled run.
@@ -957,43 +957,6 @@ pub struct PoolStats {
     pub event_slab_high_water: u64,
     /// High-water EDF-heap capacity retained across runs.
     pub ready_high_water: u64,
-    /// Trials executed through the lean lanes of
-    /// [`simulate_batch_in`](crate::batch::simulate_batch_in) (also
-    /// counted in [`runs`](Self::runs)).
-    pub batched_runs: u64,
-    /// High-water lean-lane occupancy of a single sibling-seed batch.
-    pub batch_lane_high_water: u64,
-    /// Trials executed through policy-lockstep lean batches (also
-    /// counted in [`batched_runs`](Self::batched_runs)).
-    #[serde(default)]
-    pub policy_batched_runs: u64,
-    /// High-water lean-lane occupancy of a single policy-lockstep
-    /// batch, kept apart from the sibling-seed mark: the two batch
-    /// shapes have different synchrony, so one folded maximum would
-    /// hide which shape a sweep ran.
-    #[serde(default)]
-    pub batch_policy_lane_high_water: u64,
-    /// Distinct instants processed by the lean batched loop.
-    #[serde(default)]
-    pub batch_ticks: u64,
-    /// Lean instants on which more than one lane had an event — the
-    /// ticks where the batch's cross-lane stages amortized work. The
-    /// ratio to [`batch_ticks`](Self::batch_ticks) is the observable
-    /// synchrony of a sweep's batch shape.
-    #[serde(default)]
-    pub multi_lane_ticks: u64,
-}
-
-impl PoolStats {
-    /// `multi_lane_ticks / batch_ticks` (0 when no batches ran): the
-    /// fraction of batched instants where more than one lane had work.
-    pub fn multi_lane_fraction(&self) -> f64 {
-        if self.batch_ticks > 0 {
-            self.multi_lane_ticks as f64 / self.batch_ticks as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 /// A reusable simulation context: the allocations that dominate per-run
@@ -1053,10 +1016,6 @@ impl RunContext {
     /// Retention statistics accumulated over this context's lifetime.
     pub fn stats(&self) -> PoolStats {
         self.stats
-    }
-
-    pub(crate) fn stats_mut(&mut self) -> &mut PoolStats {
-        &mut self.stats
     }
 
     /// Cumulative event-queue statistics of the pooled queue, or `None`

@@ -289,47 +289,6 @@ impl CpuModel {
         (0..self.levels.len()).find(|&n| !self.is_level_locked(n) && feasible(n))
     }
 
-    /// Lane-vectorized [`Self::min_feasible_level`]: resolves paper
-    /// eq. 6 for a batch of `(work, window)` lanes in one sweep over the
-    /// level table, writing each lane's answer into `out`.
-    ///
-    /// The loop is level-major so the per-level speed is computed once
-    /// and the inner lane loop is a branch-free select (no lane-dependent
-    /// control flow), which the optimizer can unroll and vectorize. Each
-    /// lane's feasibility test evaluates the exact scalar expressions
-    /// (`work / S_n`, the same 1e-12 relative dust guard), so the result
-    /// per lane is identical to the scalar call — pinned by the
-    /// `lanes_match_scalar` test.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice lengths differ.
-    pub fn min_feasible_level_lanes(
-        &self,
-        work: &[f64],
-        window: &[f64],
-        out: &mut [Option<LevelIndex>],
-    ) {
-        assert_eq!(work.len(), window.len(), "lane slices must match");
-        assert_eq!(work.len(), out.len(), "lane slices must match");
-        out.fill(None);
-        for n in 0..self.levels.len() {
-            if self.is_level_locked(n) {
-                continue;
-            }
-            let speed = self.speed(n);
-            for ((o, &w), &win) in out.iter_mut().zip(work).zip(window) {
-                debug_assert!(w >= 0.0, "work must be non-negative");
-                let need = w / speed;
-                let feasible =
-                    win >= 0.0 && (need <= win || (need - win).abs() <= 1e-12 * need.max(1.0));
-                if o.is_none() && feasible {
-                    *o = Some(n);
-                }
-            }
-        }
-    }
-
     /// Energy saved by running `work` at level `n` instead of full speed
     /// (non-negative whenever the power curve is convex in speed).
     pub fn stretch_saving(&self, work: f64, n: LevelIndex) -> f64 {
@@ -352,50 +311,6 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert_eq!(CpuModel::new(vec![]), Err(CpuModelError::NoLevels));
-    }
-
-    #[test]
-    fn lanes_match_scalar() {
-        let mut cpu = CpuModel::new(vec![
-            FrequencyLevel::new(150.0, 0.2),
-            FrequencyLevel::new(400.0, 0.6),
-            FrequencyLevel::new(600.0, 1.2),
-            FrequencyLevel::new(800.0, 2.0),
-        ])
-        .unwrap();
-        let mut state = 0x243F_6A88u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 10_000) as f64 / 100.0
-        };
-        for mask in [0u64, 0b0001, 0b0110] {
-            cpu.set_locked_mask(mask);
-            let work: Vec<f64> = (0..64).map(|_| next()).collect();
-            // Include negative, zero-ish, and dust-boundary windows.
-            let window: Vec<f64> = work
-                .iter()
-                .enumerate()
-                .map(|(i, &w)| match i % 4 {
-                    0 => next() - 50.0,
-                    1 => w / cpu.speed(i % 4),
-                    2 => 0.0,
-                    _ => next(),
-                })
-                .collect();
-            let mut out = vec![None; work.len()];
-            cpu.min_feasible_level_lanes(&work, &window, &mut out);
-            for i in 0..work.len() {
-                assert_eq!(
-                    out[i],
-                    cpu.min_feasible_level(work[i], window[i]),
-                    "lane {i}: work {} window {} mask {mask:#b}",
-                    work[i],
-                    window[i]
-                );
-            }
-        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ use std::sync::Arc;
 use harvest_exp::artifact::RunArtifact;
 use harvest_exp::cache::{fnv1a64, SweepCache};
 use harvest_exp::figures::{
-    miss_rate_figure_grouped, robustness_campaign_instrumented, GroupingMode, RobustnessConfig,
-    Sabotage, SweepExecStats,
+    miss_rate_figure_instrumented, robustness_campaign_instrumented, RobustnessConfig, Sabotage,
+    SweepExecStats,
 };
 use harvest_exp::manifest::{CellOutcome, SweepManifest};
 use harvest_exp::report::Table;
@@ -90,11 +90,10 @@ const USAGE: &str = "usage:
                   [--seed N] [--horizon UNITS] [--sample UNITS] [--out PATH]
   exp inspect     PATH
   exp diff        PATH BASELINE
-  exp sweep       [--util U] [--trials N] [--threads N] [--batch B]
-                  [--batch-group seed|policy|auto] [--store DIR]
+  exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
                   [--durability none|batch|record]
                   [--cache PATH] [--trace PATH] [--progress PATH] [--expect-warm]
-  exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N] [--batch B]
+  exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
                   [--horizon UNITS] [--intensities A,B,..] [--manifest PATH]
                   [--store DIR] [--durability none|batch|record]
                   [--cache PATH] [--trace PATH] [--progress PATH]
@@ -157,8 +156,6 @@ struct SweepArgs {
     utilization: f64,
     trials: usize,
     threads: usize,
-    batch: usize,
-    batch_group: GroupingMode,
     store: Option<PathBuf>,
     durability: Durability,
     cache: Option<PathBuf>,
@@ -173,8 +170,6 @@ impl Default for SweepArgs {
             utilization: 0.4,
             trials: 2,
             threads: 2,
-            batch: 1,
-            batch_group: GroupingMode::Seed,
             store: None,
             durability: Durability::default(),
             cache: None,
@@ -195,7 +190,6 @@ struct FaultSweepArgs {
     capacity: f64,
     trials: usize,
     threads: usize,
-    batch: usize,
     horizon_units: i64,
     intensities: Vec<f64>,
     manifest: Option<PathBuf>,
@@ -217,7 +211,6 @@ impl Default for FaultSweepArgs {
             capacity: 300.0,
             trials: 2,
             threads: 2,
-            batch: 1,
             horizon_units: 2_000,
             intensities: vec![0.0, 0.5, 1.0],
             manifest: None,
@@ -485,14 +478,6 @@ where
                     return Err("--intensities values must lie in [0, 1]".into());
                 }
             }
-            "--batch" => {
-                out.batch = value()?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_owned())?;
-                if out.batch == 0 {
-                    return Err("--batch must be positive".into());
-                }
-            }
             "--manifest" => out.manifest = Some(PathBuf::from(value()?)),
             "--store" => out.store = Some(PathBuf::from(value()?)),
             "--durability" => {
@@ -555,24 +540,11 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&dyn TrialStore>, health:
     reg.counter("sweep.simulated", stats.simulated);
     reg.counter("sweep.cached", stats.cached);
     reg.counter("pool.runs", stats.pool.runs);
-    reg.counter("pool.batched_runs", stats.pool.batched_runs);
-    reg.counter("pool.policy_batched_runs", stats.pool.policy_batched_runs);
-    reg.counter("pool.batch_ticks", stats.pool.batch_ticks);
-    reg.counter("pool.multi_lane_ticks", stats.pool.multi_lane_ticks);
     reg.gauge(
         "pool.event_slab_high_water",
         stats.pool.event_slab_high_water as f64,
     );
     reg.gauge("pool.ready_high_water", stats.pool.ready_high_water as f64);
-    reg.gauge(
-        "pool.batch_lane_high_water",
-        stats.pool.batch_lane_high_water as f64,
-    );
-    reg.gauge(
-        "pool.batch_policy_lane_high_water",
-        stats.pool.batch_policy_lane_high_water as f64,
-    );
-    reg.gauge("pool.multi_lane_fraction", stats.pool.multi_lane_fraction());
     if let Some(s) = store {
         s.stats().publish("store", &mut reg);
     }
@@ -873,16 +845,8 @@ fn report_progress(
     ];
     if let Some(hb) = heartbeat {
         md.push_str(&format!(
-            "decided {}/{} ({} hit, {} simulated, {} resumed, {} quarantined) at {:.1} cells/s, \
-             lane high water {}.\n",
-            hb.done,
-            hb.total,
-            hb.hits,
-            hb.simulated,
-            hb.resumed,
-            hb.quarantined,
-            hb.cells_per_sec,
-            hb.lane_high_water
+            "decided {}/{} ({} hit, {} simulated, {} resumed, {} quarantined) at {:.1} cells/s.\n",
+            hb.done, hb.total, hb.hits, hb.simulated, hb.resumed, hb.quarantined, hb.cells_per_sec,
         ));
         entries.extend([
             ("done".into(), Value::U64(hb.done)),
@@ -890,7 +854,6 @@ fn report_progress(
             ("simulated".into(), Value::U64(hb.simulated)),
             ("resumed".into(), Value::U64(hb.resumed)),
             ("quarantined".into(), Value::U64(hb.quarantined)),
-            ("lane_high_water".into(), Value::U64(hb.lane_high_water)),
         ]);
         if hb.store_retries > 0 || hb.store_degraded > 0 || hb.store_sync_failures > 0 {
             md.push_str(&format!(
@@ -903,28 +866,6 @@ fn report_progress(
                 (
                     "store_sync_failures".into(),
                     Value::U64(hb.store_sync_failures),
-                ),
-            ]);
-        }
-        if hb.batch_ticks > 0 {
-            md.push_str(&format!(
-                "batch grouping `{}`: {} of {} instants multi-lane \
-                 ({:.1}% lane synchrony).\n",
-                hb.batch_grouping,
-                hb.multi_lane_ticks,
-                hb.batch_ticks,
-                hb.multi_lane_fraction() * 100.0
-            ));
-            entries.extend([
-                (
-                    "batch_grouping".into(),
-                    Value::Str(hb.batch_grouping.clone()),
-                ),
-                ("batch_ticks".into(), Value::U64(hb.batch_ticks)),
-                ("multi_lane_ticks".into(), Value::U64(hb.multi_lane_ticks)),
-                (
-                    "multi_lane_fraction".into(),
-                    Value::F64(hb.multi_lane_fraction()),
                 ),
             ]);
         }
@@ -1127,7 +1068,6 @@ fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
         predictors: vec![PredictorKind::Oracle],
         trials: args.trials,
         threads: args.threads,
-        batch: args.batch,
         ..RobustnessConfig::default()
     };
     let matches = |list: &[InjectSpec], cell: &harvest_exp::figures::Cell| {
@@ -1152,22 +1092,19 @@ fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
     );
     let cells = config.intensities.len() * config.policies.len() * config.trials;
     println!(
-        "fault-sweep util={} capacity={} trials={} batch={} cells={cells} simulated={} cached={} \
-         resumed={} quarantined={} pool_runs={} batched_runs={} event_slab_high_water={} \
-         ready_high_water={} batch_lane_high_water={} figure_fnv64={:016x}",
+        "fault-sweep util={} capacity={} trials={} cells={cells} simulated={} cached={} \
+         resumed={} quarantined={} pool_runs={} event_slab_high_water={} ready_high_water={} \
+         figure_fnv64={:016x}",
         args.utilization,
         args.capacity,
         args.trials,
-        args.batch,
         report.exec.simulated,
         report.exec.cached,
         report.resumed,
         report.quarantined.len(),
         report.exec.pool.runs,
-        report.exec.pool.batched_runs,
         report.exec.pool.event_slab_high_water,
         report.exec.pool.ready_high_water,
-        report.exec.pool.batch_lane_high_water,
         report.figure.digest(),
     );
     for q in &report.quarantined {
@@ -1260,15 +1197,6 @@ where
                     return Err("--threads must be positive".into());
                 }
             }
-            "--batch" => {
-                out.batch = value()?
-                    .parse()
-                    .map_err(|_| "--batch expects a positive integer".to_owned())?;
-                if out.batch == 0 {
-                    return Err("--batch must be positive".into());
-                }
-            }
-            "--batch-group" => out.batch_group = value()?.parse()?,
             "--store" => out.store = Some(PathBuf::from(value()?)),
             "--durability" => {
                 out.durability = Durability::parse(&value()?)
@@ -1330,37 +1258,27 @@ fn sweep(args: &SweepArgs) -> Result<(), String> {
     let store = open_trial_store(&args.store, &args.cache, args.durability)?;
     let store_ref = store.as_deref();
     let telemetry = build_telemetry(&args.trace, &args.progress, &None)?;
-    let (figure, stats) = miss_rate_figure_grouped(
+    let (figure, stats) = miss_rate_figure_instrumented(
         store_ref,
         args.utilization,
         &[PolicyKind::Lsa, PolicyKind::EaDvfs],
         args.trials,
         args.threads,
-        args.batch,
-        args.batch_group,
+        1,
         &telemetry,
     );
     let json = serde_json::to_string(&figure).map_err(|e| format!("serialize figure: {e}"))?;
     println!(
-        "sweep util={} trials={} batch={} batch_group={} cells={} simulated={} cached={} \
-         pool_runs={} batched_runs={} policy_batched_runs={} event_slab_high_water={} \
-         ready_high_water={} batch_lane_high_water={} batch_policy_lane_high_water={} \
-         multi_lane_fraction={:.3} figure_fnv64={:016x}",
+        "sweep util={} trials={} cells={} simulated={} cached={} pool_runs={} \
+         event_slab_high_water={} ready_high_water={} figure_fnv64={:016x}",
         args.utilization,
         args.trials,
-        args.batch,
-        args.batch_group.label(),
         stats.simulated + stats.cached,
         stats.simulated,
         stats.cached,
         stats.pool.runs,
-        stats.pool.batched_runs,
-        stats.pool.policy_batched_runs,
         stats.pool.event_slab_high_water,
         stats.pool.ready_high_water,
-        stats.pool.batch_lane_high_water,
-        stats.pool.batch_policy_lane_high_water,
-        stats.pool.multi_lane_fraction(),
         fnv1a64(json.as_bytes()),
     );
     if let Some(s) = store_ref {
@@ -1489,10 +1407,6 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--batch",
-            "8",
-            "--batch-group",
-            "policy",
             "--cache",
             "/tmp/sweep-cache",
             "--expect-warm",
@@ -1501,8 +1415,6 @@ mod tests {
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.trials, 3);
         assert_eq!(args.threads, 2);
-        assert_eq!(args.batch, 8);
-        assert_eq!(args.batch_group, GroupingMode::Policy);
         assert_eq!(args.cache, Some(PathBuf::from("/tmp/sweep-cache")));
         assert!(args.expect_warm);
         assert_eq!(args.trace, None);
@@ -1511,16 +1423,7 @@ mod tests {
         let traced = parse_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
         assert_eq!(traced.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(traced.progress, Some(PathBuf::from("/tmp/p.jsonl")));
-        let defaults = parse_sweep(Vec::<String>::new()).unwrap();
-        assert_eq!(defaults.batch, 1);
-        assert_eq!(defaults.batch_group, GroupingMode::Seed);
-        assert_eq!(
-            parse_sweep(["--batch-group", "auto"]).unwrap().batch_group,
-            GroupingMode::Auto
-        );
         assert!(parse_sweep(["--trials", "0"]).is_err());
-        assert!(parse_sweep(["--batch", "0"]).is_err());
-        assert!(parse_sweep(["--batch-group", "bogus"]).is_err());
         assert!(parse_sweep(["--bogus"]).is_err());
 
         let stored = parse_sweep(["--store", "/tmp/sweep-store"]).unwrap();
@@ -1555,8 +1458,6 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--batch",
-            "4",
             "--horizon",
             "1500",
             "--intensities",
@@ -1575,14 +1476,12 @@ mod tests {
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.capacity, 200.0);
         assert_eq!(args.trials, 3);
-        assert_eq!(args.batch, 4);
         assert_eq!(args.horizon_units, 1500);
         assert_eq!(args.intensities, vec![0.0, 0.5, 1.0]);
         assert_eq!(args.manifest, Some(PathBuf::from("/tmp/m.jsonl")));
         assert_eq!(args.inject_panic, vec![(PolicyKind::Lsa, 0, 0.5)]);
         assert_eq!(args.inject_starve, vec![(PolicyKind::EaDvfs, 1, 1.0)]);
         assert!(args.expect_resumed);
-        assert!(parse_fault_sweep(["--batch", "0"]).is_err());
         assert!(parse_fault_sweep(["--intensities", "2.0"]).is_err());
         assert!(parse_fault_sweep(["--inject-panic", "lsa:0"]).is_err());
         assert!(parse_fault_sweep(["--inject-panic", "sjf:0:0.5"]).is_err());

@@ -21,8 +21,8 @@ pub use min_capacity::{
     MinCapacityTable,
 };
 pub use miss_rate::{
-    miss_rate_figure, miss_rate_figure_cached, miss_rate_figure_cached_batched,
-    miss_rate_figure_grouped, miss_rate_figure_instrumented, MissRateFigure, MissRateRow,
+    miss_rate_figure, miss_rate_figure_cached, miss_rate_figure_instrumented, MissRateFigure,
+    MissRateRow,
 };
 pub use remaining_energy::{
     remaining_energy_figure, remaining_energy_figure_cached, RemainingEnergyFigure,
@@ -34,64 +34,6 @@ pub use robustness::{
 pub use source::{source_figure, SourceFigure};
 
 use harvest_core::system::PoolStats;
-
-/// How a figure driver groups pending grid cells into SoA batch lanes.
-///
-/// The grid is `(capacity, policy, seed)`; either axis can supply the
-/// sibling lanes of one batch. Sibling *seeds* share a scenario and
-/// policy but diverge as their task sets differ; sibling *policies*
-/// (policy lockstep) replay the exact same prefab under each policy
-/// arm, so their release timelines are identical and the lanes stay
-/// synchronous for longer. Both groupings are bit-identical to the
-/// scalar sweep — only throughput and batch occupancy change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GroupingMode {
-    /// Lanes are sibling seeds of one `(capacity, policy)` point.
-    #[default]
-    Seed,
-    /// Lanes are policy arms of one `(capacity, seed)` trial.
-    Policy,
-    /// Picks per sweep: `Policy` when at least two policies are swept
-    /// with a batch width of at least two, otherwise `Seed`.
-    Auto,
-}
-
-impl GroupingMode {
-    /// Resolves `Auto` against the sweep shape.
-    #[must_use]
-    pub fn resolve(self, policies: usize, batch: usize) -> GroupingMode {
-        match self {
-            GroupingMode::Auto if policies >= 2 && batch >= 2 => GroupingMode::Policy,
-            GroupingMode::Auto => GroupingMode::Seed,
-            fixed => fixed,
-        }
-    }
-
-    /// Stable lower-case name, used by telemetry and the CLI.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            GroupingMode::Seed => "seed",
-            GroupingMode::Policy => "policy",
-            GroupingMode::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for GroupingMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "seed" => Ok(GroupingMode::Seed),
-            "policy" => Ok(GroupingMode::Policy),
-            "auto" => Ok(GroupingMode::Auto),
-            other => Err(format!(
-                "unknown batch grouping '{other}' (expected seed, policy, or auto)"
-            )),
-        }
-    }
-}
 
 /// How a cache-aware sweep executed: which cells were actually
 /// simulated versus answered by a verified cache hit, and how well the
@@ -114,19 +56,9 @@ impl SweepExecStats {
     /// Folds one worker pool's counters into the aggregate.
     pub fn merge_pool(&mut self, p: PoolStats) {
         self.pool.runs += p.runs;
-        self.pool.batched_runs += p.batched_runs;
-        self.pool.policy_batched_runs += p.policy_batched_runs;
-        self.pool.batch_ticks += p.batch_ticks;
-        self.pool.multi_lane_ticks += p.multi_lane_ticks;
         self.pool.event_slab_high_water =
             self.pool.event_slab_high_water.max(p.event_slab_high_water);
         self.pool.ready_high_water = self.pool.ready_high_water.max(p.ready_high_water);
-        self.pool.batch_lane_high_water =
-            self.pool.batch_lane_high_water.max(p.batch_lane_high_water);
-        self.pool.batch_policy_lane_high_water = self
-            .pool
-            .batch_policy_lane_high_water
-            .max(p.batch_policy_lane_high_water);
     }
 
     /// Folds another sweep's stats into this one (pool high-water marks

@@ -132,14 +132,9 @@ pub struct RobustnessConfig {
     pub trials: usize,
     /// Worker threads.
     pub threads: usize,
-    /// Sibling trials dispatched per engine pass: pending cells that
-    /// share a grid point are grouped into batches of at most this many
-    /// lanes. Quarantine granularity follows the batch — a panic inside
-    /// a batched pass quarantines every lane of that batch. Note the
-    /// default [`watchdog`](Self::watchdog) makes every lane
-    /// scalar-drain inside [`harvest_core::simulate_batch_in`] (a
-    /// watchdogged lane is ineligible for the fused loop), so batching
-    /// here changes dispatch granularity, not the inner simulation path.
+    /// Fixed at 1: every cell is one scalar trial and one quarantine
+    /// unit. The field is kept only because the repository benchmark
+    /// harness sets it; any other value is rejected.
     pub batch: usize,
     /// Watchdog armed on every cell — the campaign-level stuck-trial
     /// guard. The default budget is far above any legitimate §5.1 run.
@@ -217,14 +212,10 @@ pub struct CampaignReport {
 /// `sabotage` deterministically injects failures for smoke testing;
 /// pass `|_| Sabotage::None` in production.
 ///
-/// With [`RobustnessConfig::batch`] above 1, pending sibling cells are
-/// dispatched through one engine pass per batch; results stay
-/// bit-identical, but a panic inside a batch quarantines every lane of
-/// that batch rather than a single cell.
-///
 /// # Panics
 ///
-/// Panics if the grid is empty or `trials`/`threads` is zero. Panics
+/// Panics if the grid is empty, `trials`/`threads` is zero, or
+/// [`RobustnessConfig::batch`] is not 1. Panics
 /// *inside cells* (including sabotaged ones) are quarantined, never
 /// propagated.
 pub fn robustness_campaign<S>(
@@ -241,8 +232,8 @@ where
 
 /// Per-worker state of an instrumented campaign: the worker's pooled
 /// context, its span sink, and any panic flight dumps stashed while
-/// later batches ran on the same worker (a panicked batch's dump is
-/// only matched back to its grid cells after the map completes).
+/// later cells ran on the same worker (a panicked cell's dump is only
+/// matched back to it after the map completes).
 struct CampaignWorker {
     index: usize,
     pool: SimPool,
@@ -251,20 +242,17 @@ struct CampaignWorker {
 }
 
 /// [`robustness_campaign`] under campaign telemetry: span tracing of
-/// the resolve/build/run phases and each dispatched batch, one live
+/// the resolve/build/run phases and each simulated cell, one live
 /// progress event per decided cell (resumed / hit / simulated /
 /// quarantined), and — when [`FlightOptions`] is set — a crash flight
 /// recorder on every worker pool whose dump is written out per failed
 /// cell and linked from [`CellFailure::flight`].
 ///
-/// Dump pairing relies on two ordering invariants. Watchdog dumps are
-/// frozen by the engine *during* [`SimPool::run_batch`], whose
-/// watchdogged lanes scalar-drain sequentially in lane order, so the
-/// dumps drained right after a batch line up with that batch's `Err`
-/// lanes in order. Panic dumps are frozen by a drop guard while the
-/// worker unwinds; each batch marks the flight ring with its first
-/// lane's key text on entry, so a panic dump's last `mark` event names
-/// the batch it belongs to and is matched after the map ends.
+/// A watchdog dump is frozen by the engine during the cell's run and
+/// drained right after it. A panic dump is frozen by a drop guard while
+/// the worker unwinds; each cell marks the flight ring with its key
+/// text on entry, so a panic dump's last `mark` event names the cell it
+/// belongs to and is matched after the map ends.
 ///
 /// With the default (disabled) [`CampaignTelemetry`] every observer
 /// site is one `None` branch and results are those of the plain
@@ -296,6 +284,7 @@ where
     );
     assert!(!config.policies.is_empty(), "need at least one policy");
     assert!(!config.predictors.is_empty(), "need at least one predictor");
+    assert_eq!(config.batch, 1, "the campaign runs one trial per cell");
     let mut driver_sink = telemetry.sink(TID_DRIVER);
     let figure_start = driver_sink.as_ref().map(|s| s.start());
 
@@ -409,26 +398,9 @@ where
         prefabs[seed as usize] = Some(prefab);
     }
 
-    // Run: pending cells through quarantining pooled workers, grouped
-    // into sibling batches. The grid is row-major then predictor then
-    // policy then seed, so consecutive pending cells of one
-    // `(row, predictor, policy)` point are sibling seeds of the same
-    // scenario; up to `config.batch` of them go through one engine
-    // dispatch. Each decided cell checkpoints into the manifest
-    // immediately; a panic mid-batch quarantines the whole batch.
-    type SiblingGroup = (usize, usize, usize, Vec<(usize, u64)>);
-    let mut groups: Vec<SiblingGroup> = Vec::new();
-    for &i in &pending {
-        let (row, pi, pj, seed) = jobs[i];
-        match groups.last_mut() {
-            Some((r, a, b, lanes))
-                if (*r, *a, *b) == (row, pi, pj) && lanes.len() < config.batch =>
-            {
-                lanes.push((i, seed));
-            }
-            _ => groups.push((row, pi, pj, vec![(i, seed)])),
-        }
-    }
+    // Run: pending cells through quarantining pooled workers, one cell
+    // per work unit. Each decided cell checkpoints into the manifest
+    // immediately.
     // Freezes the flight ring while the worker unwinds, so the events
     // leading up to a panic survive into a post-map dump.
     struct PanicCapture(Option<harvest_obs::SharedFlightRecorder>);
@@ -445,7 +417,7 @@ where
     }
     let flight_opts = telemetry.flight.as_ref();
     let (computed, mut pools) = parallel_map_quarantined(
-        groups.clone(),
+        pending.clone(),
         config.threads,
         |w| {
             let mut pool = SimPool::new();
@@ -459,114 +431,80 @@ where
                 panic_dumps: Vec::new(),
             }
         },
-        |w, (row, pi, pj, lanes)| {
-            let intensity = config.intensities[row];
-            let predictor = config.predictors[pi];
-            let policy = config.policies[pj];
-            let scenario = scenario_of(intensity, predictor);
+        |w, i| {
+            let (row, pi, pj, seed) = jobs[i];
+            let cell = Cell {
+                intensity: config.intensities[row],
+                policy: config.policies[pj],
+                predictor: config.predictors[pi],
+                seed,
+            };
+            let scenario = scenario_of(cell.intensity, cell.predictor);
+            let key = &keys[i];
             let cell_start = w.sink.as_ref().map(|s| s.start());
             let _panic_capture = PanicCapture(w.pool.flight().cloned());
             if let Some(f) = w.pool.flight() {
                 f.lock()
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .mark(scenario.trial_key(policy, lanes[0].1).text());
+                    .mark(key.text());
             }
-            let mut watchdogs = Vec::with_capacity(lanes.len());
-            for &(_, seed) in &lanes {
-                let cell = Cell {
-                    intensity,
-                    policy,
-                    predictor,
-                    seed,
-                };
-                watchdogs.push(match sabotage(&cell) {
-                    Sabotage::Panic => panic!(
-                        "injected sabotage: panic in cell {}",
-                        scenario.trial_key(policy, seed).text()
-                    ),
-                    Sabotage::Starve => Some(Watchdog::with_max_events(4)),
-                    Sabotage::None => config.watchdog,
-                });
-            }
-            let lane_prefabs: Vec<&TrialPrefab> = lanes
-                .iter()
-                .map(|&(_, seed)| {
-                    prefabs[seed as usize]
-                        .as_ref()
-                        .expect("prefab built for every pending seed")
-                })
-                .collect();
-            let results = w
-                .pool
-                .run_batch(&scenario, policy, &lane_prefabs, &watchdogs);
+            let watchdog = match sabotage(&cell) {
+                Sabotage::Panic => panic!("injected sabotage: panic in cell {}", key.text()),
+                Sabotage::Starve => Some(Watchdog::with_max_events(4)),
+                Sabotage::None => config.watchdog,
+            };
+            let prefab = prefabs[seed as usize]
+                .as_ref()
+                .expect("prefab built for every pending seed");
+            let result = scenario.try_run_prefab_in(&mut w.pool, cell.policy, prefab, watchdog);
             if let (Some(sink), Some(t)) = (w.sink.as_mut(), cell_start) {
                 sink.record_with(
                     t,
                     "cell",
                     CAT_SIMULATE,
-                    vec![
-                        (
-                            "key".into(),
-                            scenario.trial_key(policy, lanes[0].1).text().to_owned(),
-                        ),
-                        ("lanes".into(), lanes.len().to_string()),
-                    ],
+                    vec![("key".into(), key.text().to_owned())],
                 );
             }
-            // Watchdog dumps were frozen during the batch's sequential
-            // scalar drain, so they pair with this batch's `Err` lanes
-            // in order. A stale panic dump from an earlier batch on
-            // this worker is stashed for post-map matching instead.
-            let mut watchdog_dumps = Vec::new();
+            // A watchdog abort froze its dump during this run. A stale
+            // panic dump from an earlier cell on this worker is stashed
+            // for post-map matching instead.
+            let mut watchdog_dump = None;
             if flight_opts.is_some() {
                 for dump in w.pool.take_flight_dumps() {
                     if dump.reason == "panic" {
                         w.panic_dumps.push(dump);
                     } else {
-                        watchdog_dumps.push(dump);
+                        watchdog_dump = Some(dump);
                     }
                 }
             }
-            let mut watchdog_dumps = watchdog_dumps.into_iter();
-            let worker = w.index;
-            let lane_outcomes: Vec<(usize, Result<TrialSummary, CellFailure>)> = lanes
-                .iter()
-                .zip(results)
-                .map(|(&(i, seed), result)| {
-                    let outcome = match result {
-                        Ok(res) => {
-                            let summary = TrialSummary::of(&res);
-                            let key = scenario.trial_key(policy, seed);
-                            if let Some(c) = store {
-                                c.store(&key, &summary);
-                            }
-                            if let Some(m) = manifest {
-                                let _ = m.record_done(&key, &summary);
-                            }
-                            telemetry.cell(CellDecision::Simulated, key.text(), worker);
-                            Ok(summary)
-                        }
-                        Err(e) => {
-                            let key = scenario.trial_key(policy, seed);
-                            let flight = watchdog_dumps.next().and_then(|dump| {
-                                flight_opts.and_then(|opts| {
-                                    write_flight_dump(&opts.dir, key.text(), dump)
-                                        .ok()
-                                        .map(|p| p.display().to_string())
-                                })
-                            });
-                            Err(CellFailure {
-                                message: e.to_string(),
-                                panicked: false,
-                                worker,
-                                flight,
-                            })
-                        }
-                    };
-                    (i, outcome)
-                })
-                .collect();
-            Ok::<_, harvest_core::result::SimError>(lane_outcomes)
+            let outcome = match result {
+                Ok(res) => {
+                    let summary = TrialSummary::of(&res);
+                    if let Some(c) = store {
+                        c.store(key, &summary);
+                    }
+                    if let Some(m) = manifest {
+                        let _ = m.record_done(key, &summary);
+                    }
+                    telemetry.cell(CellDecision::Simulated, key.text(), w.index);
+                    Ok(summary)
+                }
+                Err(e) => {
+                    let flight = watchdog_dump.zip(flight_opts).and_then(|(dump, opts)| {
+                        write_flight_dump(&opts.dir, key.text(), dump)
+                            .ok()
+                            .map(|p| p.display().to_string())
+                    });
+                    Err(CellFailure {
+                        message: e.to_string(),
+                        panicked: false,
+                        worker: w.index,
+                        flight,
+                    })
+                }
+            };
+            Ok::<_, std::convert::Infallible>(outcome)
         },
     );
 
@@ -582,9 +520,6 @@ where
             queues.push(qs);
         }
     }
-    if let Some(progress) = &telemetry.progress {
-        progress.note_lane_high_water(exec.pool.batch_lane_high_water);
-    }
     // Batch-boundary durability barrier: every record the workers
     // appended is synced before the campaign reports its figures.
     if let Some(c) = store {
@@ -593,10 +528,10 @@ where
     if let Some(m) = manifest {
         m.barrier();
     }
-    // Panic dumps: stashed by later batches on the same worker, or
-    // still pending on the recorder when the panicked batch was the
-    // worker's last. Each batch marked the ring with its first lane's
-    // key text on entry, so a dump's last mark names its batch.
+    // Panic dumps: stashed by later cells on the same worker, or still
+    // pending on the recorder when the panicked cell was the worker's
+    // last. Each cell marked the ring with its key text on entry, so a
+    // dump's last mark names its cell.
     let mut panic_dump_by_key: HashMap<String, FlightDump> = HashMap::new();
     if flight_opts.is_some() {
         for w in &mut pools {
@@ -633,32 +568,20 @@ where
         });
         CellOutcome::Quarantined(failure)
     };
-    for ((_, _, _, lanes), result) in groups.into_iter().zip(computed) {
-        match result {
-            Ok(lane_outcomes) => {
-                for (i, outcome) in lane_outcomes {
-                    outcomes[i] = Some(match outcome {
-                        Ok(summary) => CellOutcome::Done(summary),
-                        Err(failure) => quarantine(i, failure, &mut quarantined),
-                    });
+    for (&i, result) in pending.iter().zip(computed) {
+        outcomes[i] = Some(match result.and_then(|outcome| outcome) {
+            Ok(summary) => CellOutcome::Done(summary),
+            Err(mut failure) => {
+                // A panicked cell's dump is the one its mark names.
+                let dump = panic_dump_by_key.remove(keys[i].text());
+                if let (true, Some(dump), Some(opts)) = (failure.panicked, dump, flight_opts) {
+                    failure.flight = write_flight_dump(&opts.dir, keys[i].text(), dump)
+                        .ok()
+                        .map(|p| p.display().to_string());
                 }
+                quarantine(i, failure, &mut quarantined)
             }
-            // The whole batch failed before any lane resolved (a panic
-            // mid-dispatch): every lane of the batch is quarantined,
-            // each with its own copy of the batch's flight dump.
-            Err(failure) => {
-                let dump = panic_dump_by_key.remove(keys[lanes[0].0].text());
-                for (i, _) in lanes {
-                    let mut failure = failure.clone();
-                    if let (Some(dump), Some(opts)) = (&dump, flight_opts) {
-                        failure.flight = write_flight_dump(&opts.dir, keys[i].text(), dump.clone())
-                            .ok()
-                            .map(|p| p.display().to_string());
-                    }
-                    outcomes[i] = Some(quarantine(i, failure, &mut quarantined));
-                }
-            }
-        }
+        });
     }
 
     // Aggregate: means over decided cells only.
@@ -787,22 +710,14 @@ mod tests {
         assert_eq!(fig.digest(), report.figure.digest());
     }
 
-    /// A batched campaign reproduces the scalar figure digest exactly.
     #[test]
-    fn batched_campaign_matches_scalar() {
-        let scalar = robustness_campaign(&small_config(), None, None, |_| Sabotage::None);
+    #[should_panic(expected = "one trial per cell")]
+    fn campaign_rejects_batch_widths_other_than_one() {
         let config = RobustnessConfig {
             batch: 4,
             ..small_config()
         };
-        let batched = robustness_campaign(&config, None, None, |_| Sabotage::None);
-        assert_eq!(batched.figure.digest(), scalar.figure.digest());
-        assert!(batched.quarantined.is_empty());
-        assert_eq!(batched.exec.simulated, scalar.exec.simulated);
-        // The default watchdog forces every lane down the scalar drain,
-        // so batching changes dispatch granularity only: no lane may
-        // take the fused loop.
-        assert_eq!(batched.exec.pool.batched_runs, 0);
+        robustness_campaign(&config, None, None, |_| Sabotage::None);
     }
 
     #[test]

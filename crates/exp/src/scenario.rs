@@ -6,9 +6,6 @@
 
 use std::sync::Arc;
 
-use harvest_core::batch::{
-    simulate_batch_grouped_in, simulate_batch_in, BatchContext, BatchGrouping, BatchLane,
-};
 use harvest_core::config::SystemConfig;
 use harvest_core::fault::FaultPlan;
 use harvest_core::policies::{
@@ -98,17 +95,6 @@ impl PolicyKind {
 pub struct SimPool {
     ctx: RunContext,
     policies: [Option<Box<dyn Scheduler>>; 4],
-    /// Reusable slabs of the batched SoA engine (heap, SoA storage
-    /// state, gather scratch) — materialized on the first batched run.
-    batch: BatchContext,
-    /// Per-lane scheduler instances for batched runs, one vector per
-    /// policy kind, grown to the largest batch width seen.
-    lane_policies: [Vec<Box<dyn Scheduler>>; 4],
-    /// Per-lane scheduler instances for policy-lockstep batches,
-    /// aligned with `arm_kinds`; instances are reused across batches
-    /// whose arm sequence matches.
-    arm_policies: Vec<Box<dyn Scheduler>>,
-    arm_kinds: Vec<PolicyKind>,
 }
 
 impl SimPool {
@@ -187,15 +173,11 @@ impl SimPool {
             .unwrap_or_else(|e| panic!("simulation aborted: {e} (use the try_ path)"))
     }
 
-    /// Runs a batch of sibling trials — same scenario and policy,
-    /// per-prefab seeds — through the batched SoA engine
-    /// ([`simulate_batch_in`]), reusing this pool's slabs and per-lane
-    /// scheduler instances. `watchdogs` arms each lane individually
-    /// (length must match `prefabs`); a watchdog-armed lane drains
-    /// through the scalar fallback, which is where the per-lane
-    /// [`SimError`]s can come from. Every lane is bit-identical to the
-    /// corresponding scalar [`PaperScenario::try_run_prefab_in`] call
-    /// (pinned by the `batched_parity` suite).
+    /// Runs one policy over several prefabs, one
+    /// [`PaperScenario::try_run_prefab_in`] call per prefab in order,
+    /// each with its own watchdog slot. Kept for the repository
+    /// benchmark harness, which drives its fault campaign through this
+    /// call; new code should call `try_run_prefab_in` directly.
     ///
     /// # Panics
     ///
@@ -207,99 +189,16 @@ impl SimPool {
         prefabs: &[&TrialPrefab],
         watchdogs: &[Option<Watchdog>],
     ) -> Vec<Result<SimResult, SimError>> {
-        assert_eq!(prefabs.len(), watchdogs.len(), "one watchdog slot per lane");
-        let lanes: Vec<BatchLane> = prefabs
+        assert_eq!(
+            prefabs.len(),
+            watchdogs.len(),
+            "one watchdog slot per prefab"
+        );
+        prefabs
             .iter()
             .zip(watchdogs)
-            .map(|(prefab, watchdog)| {
-                let mut config = scenario.config_for(prefab.seed);
-                if let Some(w) = *watchdog {
-                    config = config.with_watchdog(w);
-                }
-                BatchLane {
-                    config,
-                    tasks: Arc::clone(&prefab.tasks),
-                    profile: Arc::clone(&prefab.profile),
-                    predictor: scenario.predictor.build_shared(&prefab.profile),
-                    tape: prefab.tape.clone(),
-                }
-            })
-            .collect();
-        let slot = &mut self.lane_policies[policy.index()];
-        while slot.len() < lanes.len() {
-            slot.push(policy.build());
-        }
-        let oracle = scenario.predictor == PredictorKind::Oracle;
-        let width = lanes.len();
-        simulate_batch_in(
-            &mut self.batch,
-            &mut self.ctx,
-            lanes,
-            &mut slot[..width],
-            oracle,
-        )
-    }
-
-    /// Runs a policy-lockstep batch: each lane is one `(policy, prefab)`
-    /// arm, so a batch may span the policy arms of one seed — whose
-    /// release timelines are identical by construction — or pack the
-    /// arms of several sibling seeds. Accounted under the lockstep
-    /// [`PoolStats`] fields. Every lane is bit-identical to the
-    /// corresponding scalar [`PaperScenario::try_run_prefab_in`] call
-    /// (pinned by the `batched_parity` suite).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `watchdogs` and `arms` lengths differ.
-    pub fn run_batch_arms(
-        &mut self,
-        scenario: &PaperScenario,
-        arms: &[(PolicyKind, &TrialPrefab)],
-        watchdogs: &[Option<Watchdog>],
-    ) -> Vec<Result<SimResult, SimError>> {
-        assert_eq!(arms.len(), watchdogs.len(), "one watchdog slot per lane");
-        let lanes: Vec<BatchLane> = arms
-            .iter()
-            .zip(watchdogs)
-            .map(|(&(_, prefab), watchdog)| {
-                let mut config = scenario.config_for(prefab.seed);
-                if let Some(w) = *watchdog {
-                    config = config.with_watchdog(w);
-                }
-                BatchLane {
-                    config,
-                    tasks: Arc::clone(&prefab.tasks),
-                    profile: Arc::clone(&prefab.profile),
-                    predictor: scenario.predictor.build_shared(&prefab.profile),
-                    tape: prefab.tape.clone(),
-                }
-            })
-            .collect();
-        // Align the cached per-lane scheduler instances with this
-        // batch's arm sequence; a stable arm pattern (the common case —
-        // the same policy set over consecutive seeds) reuses every
-        // instance.
-        for (i, &(kind, _)) in arms.iter().enumerate() {
-            if i < self.arm_kinds.len() {
-                if self.arm_kinds[i] != kind {
-                    self.arm_policies[i] = kind.build();
-                    self.arm_kinds[i] = kind;
-                }
-            } else {
-                self.arm_policies.push(kind.build());
-                self.arm_kinds.push(kind);
-            }
-        }
-        let oracle = scenario.predictor == PredictorKind::Oracle;
-        let width = lanes.len();
-        simulate_batch_grouped_in(
-            &mut self.batch,
-            &mut self.ctx,
-            lanes,
-            &mut self.arm_policies[..width],
-            oracle,
-            BatchGrouping::PolicyLockstep,
-        )
+            .map(|(prefab, &watchdog)| scenario.try_run_prefab_in(self, policy, prefab, watchdog))
+            .collect()
     }
 }
 
@@ -733,125 +632,6 @@ impl PaperScenario {
             c.store(key, &summary);
         }
         Ok(summary)
-    }
-
-    /// Runs one policy over a batch of sibling prefabs through the
-    /// batched SoA engine, one [`SimResult`] per prefab in order.
-    /// Bit-identical to calling [`run_prefab_in`](Self::run_prefab_in)
-    /// per prefab; with no watchdog armed the engine cannot fail, so
-    /// the results are unwrapped.
-    pub fn run_prefabs_batched_in(
-        &self,
-        pool: &mut SimPool,
-        policy: PolicyKind,
-        prefabs: &[&TrialPrefab],
-    ) -> Vec<SimResult> {
-        let watchdogs = vec![None; prefabs.len()];
-        pool.run_batch(self, policy, prefabs, &watchdogs)
-            .into_iter()
-            .map(|r| r.expect("no watchdog armed, the engine cannot abort"))
-            .collect()
-    }
-
-    /// [`run_summary`](Self::run_summary) over a batch of sibling
-    /// prefabs: store hits resolve through one batch probe, the
-    /// remaining cells run as one batch through the SoA engine, and
-    /// fresh summaries are written back. Returns one summary per prefab
-    /// in order.
-    pub fn run_summaries_batched(
-        &self,
-        pool: &mut SimPool,
-        store: Option<&dyn crate::store::TrialStore>,
-        policy: PolicyKind,
-        prefabs: &[&TrialPrefab],
-    ) -> Vec<crate::cache::TrialSummary> {
-        let mut summaries: Vec<Option<crate::cache::TrialSummary>> = match store {
-            Some(c) => {
-                let keys: Vec<crate::cache::TrialKey> = prefabs
-                    .iter()
-                    .map(|p| self.trial_key(policy, p.seed))
-                    .collect();
-                c.probe_many(&keys)
-            }
-            None => vec![None; prefabs.len()],
-        };
-        let pending: Vec<usize> = (0..prefabs.len())
-            .filter(|&i| summaries[i].is_none())
-            .collect();
-        if !pending.is_empty() {
-            let lanes: Vec<&TrialPrefab> = pending.iter().map(|&i| prefabs[i]).collect();
-            let results = self.run_prefabs_batched_in(pool, policy, &lanes);
-            for (&i, result) in pending.iter().zip(&results) {
-                let summary = crate::cache::TrialSummary::of(result);
-                if let Some(c) = store {
-                    c.store(&self.trial_key(policy, prefabs[i].seed), &summary);
-                }
-                summaries[i] = Some(summary);
-            }
-        }
-        summaries
-            .into_iter()
-            .map(|s| s.expect("every cell resolved"))
-            .collect()
-    }
-
-    /// Runs a policy-lockstep batch of `(policy, prefab)` arms through
-    /// the batched SoA engine, one [`SimResult`] per arm in order.
-    /// Bit-identical to calling [`run_prefab_in`](Self::run_prefab_in)
-    /// per arm; with no watchdog armed the engine cannot fail, so the
-    /// results are unwrapped.
-    pub fn run_arms_batched_in(
-        &self,
-        pool: &mut SimPool,
-        arms: &[(PolicyKind, &TrialPrefab)],
-    ) -> Vec<SimResult> {
-        let watchdogs = vec![None; arms.len()];
-        pool.run_batch_arms(self, arms, &watchdogs)
-            .into_iter()
-            .map(|r| r.expect("no watchdog armed, the engine cannot abort"))
-            .collect()
-    }
-
-    /// [`run_summaries_batched`](Self::run_summaries_batched) for a
-    /// policy-lockstep group: store hits resolve through one batch
-    /// probe, the remaining `(policy, prefab)` arms run as one lockstep
-    /// batch, and fresh summaries are written back. Returns one summary
-    /// per arm in order.
-    pub fn run_arm_summaries_batched(
-        &self,
-        pool: &mut SimPool,
-        store: Option<&dyn crate::store::TrialStore>,
-        arms: &[(PolicyKind, &TrialPrefab)],
-    ) -> Vec<crate::cache::TrialSummary> {
-        let mut summaries: Vec<Option<crate::cache::TrialSummary>> = match store {
-            Some(c) => {
-                let keys: Vec<crate::cache::TrialKey> = arms
-                    .iter()
-                    .map(|&(policy, p)| self.trial_key(policy, p.seed))
-                    .collect();
-                c.probe_many(&keys)
-            }
-            None => vec![None; arms.len()],
-        };
-        let pending: Vec<usize> = (0..arms.len())
-            .filter(|&i| summaries[i].is_none())
-            .collect();
-        if !pending.is_empty() {
-            let lanes: Vec<(PolicyKind, &TrialPrefab)> = pending.iter().map(|&i| arms[i]).collect();
-            let results = self.run_arms_batched_in(pool, &lanes);
-            for (&i, result) in pending.iter().zip(&results) {
-                let summary = crate::cache::TrialSummary::of(result);
-                if let Some(c) = store {
-                    let (policy, prefab) = arms[i];
-                    c.store(&self.trial_key(policy, prefab.seed), &summary);
-                }
-                summaries[i] = Some(summary);
-            }
-        }
-        summaries
-            .into_iter()
-            .map(|s| s.expect("every cell resolved"))
-            .collect()
     }
 
     /// [`run_prefab`](Self::run_prefab) with full observability — trace,

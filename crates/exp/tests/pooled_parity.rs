@@ -7,7 +7,8 @@
 //! [`SimPool`]: harvest_exp::scenario::SimPool
 //! [`run_prefab`]: harvest_exp::scenario::PaperScenario::run_prefab
 
-use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool};
+use harvest_exp::scenario::{PaperScenario, PolicyKind, SimPool, TrialPrefab};
+use harvest_sim::engine::Watchdog;
 use proptest::prelude::*;
 
 /// splitmix64: one `u64` of proptest entropy drives the whole shuffle.
@@ -81,4 +82,53 @@ proptest! {
         prop_assert_eq!(pool.stats().runs, cells.len() as u64);
         prop_assert!(pool.stats().event_slab_high_water > 0);
     }
+}
+
+/// `SimPool::run_batch` is a loop over `try_run_prefab_in`: over a slice
+/// with one watchdog abort in the middle it returns what one call per
+/// prefab returns, its flight dumps come out in prefab order, and the
+/// pool stays reusable afterwards.
+#[test]
+fn watchdog_lanes_abort_identically() {
+    let mut scenario = PaperScenario::new(0.5, 300.0);
+    scenario.num_tasks = 4;
+    scenario.horizon_units = 500;
+    let prefabs: Vec<TrialPrefab> = (0..3).map(|s| scenario.prefab(s)).collect();
+    let refs: Vec<&TrialPrefab> = prefabs.iter().collect();
+    let starve = Some(Watchdog::with_max_events(4));
+    let watchdogs = [None, starve, None];
+    let mut pool = SimPool::new();
+    pool.enable_flight(64);
+    let batched = pool.run_batch(&scenario, PolicyKind::Lsa, &refs, &watchdogs);
+    let mut scalar_pool = SimPool::new();
+    scalar_pool.enable_flight(64);
+    let scalar: Vec<_> = refs
+        .iter()
+        .zip(&watchdogs)
+        .map(|(prefab, &w)| {
+            scenario.try_run_prefab_in(&mut scalar_pool, PolicyKind::Lsa, prefab, w)
+        })
+        .collect();
+    assert_eq!(batched, scalar);
+    assert!(batched[0].is_ok() && batched[2].is_ok());
+    assert!(batched[1].is_err(), "starved prefab must abort");
+    let dumps = pool.take_flight_dumps();
+    assert_eq!(dumps.len(), 1, "one dump per abort");
+    assert_eq!(dumps, scalar_pool.take_flight_dumps());
+
+    // Two aborts: the dumps come out in prefab order.
+    let watchdogs = [starve, None, Some(Watchdog::with_max_events(9))];
+    let batched = pool.run_batch(&scenario, PolicyKind::Lsa, &refs, &watchdogs);
+    assert!(batched[0].is_err() && batched[1].is_ok() && batched[2].is_err());
+    let dumps = pool.take_flight_dumps();
+    let events: Vec<u64> = dumps.iter().map(|d| d.events_handled).collect();
+    // A watchdog fires on the first event past its budget.
+    assert_eq!(events, [4 + 1, 9 + 1], "dumps in prefab order");
+
+    // The pool heals: clean runs after the aborts match fresh ones.
+    for prefab in &prefabs {
+        let pooled = scenario.run_prefab_in(&mut pool, PolicyKind::Lsa, prefab);
+        assert_eq!(pooled, scenario.run_prefab(PolicyKind::Lsa, prefab));
+    }
+    assert_eq!(pool.stats().runs, 9);
 }

@@ -231,6 +231,25 @@ fn store_and_cache_flags_are_mutually_exclusive() {
     }
 }
 
+/// The batch-width and batch-grouping flags are gone: passing one is a
+/// usage error, not a silently ignored option.
+#[test]
+fn removed_batch_flags_are_rejected() {
+    for args in [
+        ["sweep", "--batch", "8"],
+        ["sweep", "--batch-group", "policy"],
+        ["fault-sweep", "--batch", "4"],
+    ] {
+        let out = run(exp().args(args));
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(
+            stderr(&out).contains("unknown flag"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
+}
+
 /// A flipped byte mid-record: `store scrub` quarantines exactly that
 /// record, keeps the rest, and the next warm run re-simulates exactly
 /// the one lost cell back to the original figure digest.

@@ -202,7 +202,7 @@ impl FlightRecorder {
     }
 
     /// Freeze the current ring into a pending [`FlightDump`]. The ring
-    /// keeps running (it is not cleared): within one batch several lanes
+    /// keeps running (it is not cleared): several runs through one pool
     /// may abort and each capture sees the events up to its own moment.
     pub fn capture(&mut self, reason: &str, events_handled: u64) {
         self.pending.push(FlightDump {

@@ -4,7 +4,7 @@
 //! worker of a sweep campaign. Workers report one [`CellEvent`] per
 //! decided cell; the reporter streams them as JSONL through a
 //! [`JsonlWriter`] and, at a bounded cadence, emits a [`Heartbeat`]
-//! (cells/sec, store hit rate, batch-lane high water, ETA) — both as a
+//! (cells/sec, store hit rate, ETA) — both as a
 //! JSONL line and, optionally, as a one-line human summary on stderr.
 //!
 //! The stream schema is versioned exactly like the run-artifact schema:
@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 /// Version stamped into every [`CampaignStart`]; bump on any
 /// incompatible change to the line shapes below.
-pub const PROGRESS_SCHEMA_VERSION: u32 = 1;
+pub const PROGRESS_SCHEMA_VERSION: u32 = 2;
 
 /// How a cell got its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,21 +88,8 @@ pub struct Heartbeat {
     pub cells_per_sec: f64,
     /// hits / done (0 when nothing decided yet).
     pub hit_rate: f64,
-    /// Highest batch-lane occupancy any pool reported.
-    pub lane_high_water: u64,
     /// Estimated seconds to completion at the current rate.
     pub eta_s: f64,
-    /// Which axis supplied the batch lanes (`"seed"`, `"policy"`, or
-    /// empty when the campaign has not reported a grouping).
-    #[serde(default)]
-    pub batch_grouping: String,
-    /// Event instants the batched engine processed.
-    #[serde(default)]
-    pub batch_ticks: u64,
-    /// Of those, instants where more than one lane had work — the
-    /// observable lane synchrony of the campaign's batches.
-    #[serde(default)]
-    pub multi_lane_ticks: u64,
     /// Transient store I/O errors that were retried
     /// ([`IoHealth::retries`](crate::io::IoHealth)).
     #[serde(default)]
@@ -113,18 +100,6 @@ pub struct Heartbeat {
     /// Failed store `sync_all` barriers.
     #[serde(default)]
     pub store_sync_failures: u64,
-}
-
-impl Heartbeat {
-    /// `multi_lane_ticks / batch_ticks` (0 when no batches ran): the
-    /// fraction of processed instants where batching paid off.
-    pub fn multi_lane_fraction(&self) -> f64 {
-        if self.batch_ticks > 0 {
-            self.multi_lane_ticks as f64 / self.batch_ticks as f64
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Terminal line: final totals and wall-clock.
@@ -191,10 +166,6 @@ struct ReporterInner {
     simulated: u64,
     resumed: u64,
     quarantined: u64,
-    lane_high_water: u64,
-    batch_grouping: String,
-    batch_ticks: u64,
-    multi_lane_ticks: u64,
     store_health: crate::io::IoHealth,
 }
 
@@ -239,11 +210,7 @@ impl ReporterInner {
             quarantined: self.quarantined,
             cells_per_sec,
             hit_rate,
-            lane_high_water: self.lane_high_water,
             eta_s,
-            batch_grouping: self.batch_grouping.clone(),
-            batch_ticks: self.batch_ticks,
-            multi_lane_ticks: self.multi_lane_ticks,
             store_retries: self.store_health.retries,
             store_degraded: self.store_health.degraded,
             store_sync_failures: self.store_health.sync_failures,
@@ -310,10 +277,6 @@ impl ProgressReporter {
                 simulated: 0,
                 resumed: 0,
                 quarantined: 0,
-                lane_high_water: 0,
-                batch_grouping: String::new(),
-                batch_ticks: 0,
-                multi_lane_ticks: 0,
                 store_health: crate::io::IoHealth::default(),
             }),
         }
@@ -370,22 +333,6 @@ impl ProgressReporter {
         if inner.last_beat.elapsed() >= inner.heartbeat_every {
             inner.beat();
         }
-    }
-
-    /// Raise the reported batch-lane high-water mark (monotone max).
-    pub fn note_lane_high_water(&self, lanes: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.lane_high_water = inner.lane_high_water.max(lanes);
-    }
-
-    /// Record the batch grouping axis and fold in batched-engine tick
-    /// occupancy counters (counts accumulate; the label is
-    /// last-writer-wins, which is fine — a campaign runs one grouping).
-    pub fn note_batch_occupancy(&self, grouping: &str, batch_ticks: u64, multi_lane_ticks: u64) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.batch_grouping = grouping.to_string();
-        inner.batch_ticks += batch_ticks;
-        inner.multi_lane_ticks += multi_lane_ticks;
     }
 
     /// Replace the reported store-health snapshot (absolute counts —
@@ -479,9 +426,6 @@ mod tests {
         reporter.cell(CellDecision::Hit, "k1", 0);
         reporter.cell(CellDecision::Simulated, "k2", 1);
         reporter.cell(CellDecision::Quarantined, "k3", 1);
-        reporter.note_lane_high_water(8);
-        reporter.note_batch_occupancy("policy", 100, 60);
-        reporter.note_batch_occupancy("policy", 50, 30);
         reporter.note_store_health(crate::io::IoHealth {
             retries: 3,
             degraded: 1,
@@ -504,10 +448,6 @@ mod tests {
             (hb.done, hb.hits, hb.simulated, hb.resumed, hb.quarantined),
             (4, 1, 1, 1, 1)
         );
-        assert_eq!(hb.lane_high_water, 8);
-        assert_eq!(hb.batch_grouping, "policy");
-        assert_eq!((hb.batch_ticks, hb.multi_lane_ticks), (150, 90));
-        assert!((hb.multi_lane_fraction() - 0.6).abs() < 1e-12);
         assert_eq!(
             (hb.store_retries, hb.store_degraded, hb.store_sync_failures),
             (3, 1, 2)
@@ -523,11 +463,21 @@ mod tests {
         reporter.finish().unwrap();
         let good = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
 
+        let current = format!("\"version\":{PROGRESS_SCHEMA_VERSION}");
+        assert!(good.contains(&current), "{good}");
+
         // Future version is refused.
-        let drifted = good.replacen("\"version\":1", "\"version\":999", 1);
+        let drifted = good.replacen(&current, "\"version\":999", 1);
         assert!(progress_from_jsonl(&drifted)
             .unwrap_err()
             .contains("schema version"));
+
+        // So is a version-1 stream, whose heartbeats carried batch-lane
+        // fields this build no longer reads.
+        let old = good.replacen(&current, "\"version\":1", 1);
+        assert!(progress_from_jsonl(&old)
+            .unwrap_err()
+            .contains("schema version 1"));
 
         // A stream that does not open with Started is refused.
         let headless: String = good.lines().skip(1).map(|l| format!("{l}\n")).collect();

@@ -31,7 +31,7 @@ use std::time::Instant;
 pub const CAT_PROBE: &str = "probe";
 /// Span category: prefab construction (task sets, profiles, predictors).
 pub const CAT_BUILD: &str = "build";
-/// Span category: trial simulation (scalar or batched).
+/// Span category: trial simulation.
 pub const CAT_SIMULATE: &str = "simulate";
 /// Span category: figure-level work (aggregation, whole-figure extent).
 pub const CAT_FIGURE: &str = "figure";
@@ -51,7 +51,7 @@ pub struct SpanRecord {
     pub ts_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Free-form key/value attribution (cell key, batch width, ...).
+    /// Free-form key/value attribution (cell key, counts, ...).
     pub args: Vec<(String, String)>,
 }
 
@@ -205,7 +205,7 @@ impl SpanSink {
         self.record_with(start, name, cat, Vec::new());
     }
 
-    /// Finish a span, attaching key/value args (cell key, batch size, ...).
+    /// Finish a span, attaching key/value args (cell key, counts, ...).
     pub fn record_with(
         &mut self,
         start: SpanStart,

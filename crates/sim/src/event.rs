@@ -473,7 +473,7 @@ pub struct ReleaseEntry {
 /// Task releases are closed-form — seed-, policy-, and state-independent
 /// — so a simulator can elide them from its [`EventQueue`] entirely: the
 /// tape is built once per scenario, shared read-only (`Arc`) across
-/// every trial, lane, and worker shard, and consumed by a monotone
+/// every trial and worker shard, and consumed by a monotone
 /// cursor. The queue then only carries the state-dependent traffic
 /// (deadline checks, policy re-evaluations, samples, fault edges).
 ///
