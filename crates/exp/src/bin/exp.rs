@@ -6,17 +6,19 @@
 //! exp inspect     PATH
 //! exp diff        PATH BASELINE
 //! exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
-//!                 [--cache PATH] [--trace PATH] [--progress PATH] [--expect-warm]
+//!                 [--trace PATH] [--progress PATH] [--expect-warm]
 //! exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
-//!                 [--horizon UNITS] [--intensities A,B,..] [--manifest PATH]
-//!                 [--store DIR] [--cache PATH] [--trace PATH] [--progress PATH]
+//!                 [--horizon UNITS] [--intensities A,B,..]
+//!                 [--store DIR] [--trace PATH] [--progress PATH]
 //!                 [--flight DIR]
 //!                 [--inject-panic POLICY:SEED:INTENSITY]
 //!                 [--inject-starve POLICY:SEED:INTENSITY] [--expect-resumed]
-//! exp report      [--store DIR] [--manifest PATH] [--progress PATH] [--trace PATH]
+//! exp report      [--store DIR] [--progress PATH] [--trace PATH]
 //!                 [--json] [--out PATH]
 //! exp store stat    DIR [--json]
 //! exp store compact DIR
+//! exp store scrub   DIR [--json]
+//! exp store import  DIR FROM
 //! ```
 //!
 //! `record` replays one §5.1 trial with full observability (trace,
@@ -24,29 +26,31 @@
 //! `inspect` renders an artifact's metrics, phase profile, and
 //! energy/level timelines as tables and ASCII plots. `diff` compares two
 //! artifacts' metric snapshots line by line. `sweep` runs a small
-//! cache-aware miss-rate sweep and reports how it executed (simulated
+//! store-aware miss-rate sweep and reports how it executed (simulated
 //! vs. cached cells, pool reuse, and a digest of the figure data) — the
-//! CI smoke runs it twice against one cache directory and `--expect-warm`
-//! makes the second invocation fail unless every cell was a cache hit.
+//! CI smoke runs it twice against one store directory and `--expect-warm`
+//! makes the second invocation fail unless every cell was a store hit.
 //! `fault-sweep` runs the robustness campaign (miss rate vs. fault
 //! intensity for EDF/LSA/EA-DVFS) through the quarantining harness:
 //! panicking or watchdog-aborted cells are reported as `quarantine`
-//! lines and the sweep still exits 0; `--manifest` checkpoints every
+//! lines and the sweep still exits 0; `--store` checkpoints every
 //! decided cell so a killed campaign resumes without re-simulating, and
 //! `--expect-resumed` makes a resumed invocation fail unless zero cells
 //! were re-simulated. The `--inject-*` flags deterministically sabotage
 //! single cells — the CI smoke's failure-injection hooks.
 //!
-//! Both sweeps resolve results through a trial store: `--store DIR`
-//! opens a segment-packed [`PackStore`] (one-time migrating any legacy
-//! per-file cache), `--cache PATH` the legacy per-file JSON cache; the
-//! two are mutually exclusive, and with neither flag the
-//! `HARVEST_SWEEP_STORE` / `HARVEST_SWEEP_CACHE` environment variables
-//! decide. Under `--store`, `fault-sweep` also checkpoints decided
-//! cells into the pack as decided records, so resume and cache are one
-//! read path and `--manifest` is unnecessary. `store stat` summarizes a
-//! store directory (`--json` for machine consumption); `store compact`
-//! merges its packs, dropping superseded records.
+//! Both sweeps resolve results through the segment-packed
+//! [`PackStore`]: `--store DIR` opens one, and without the flag the
+//! `HARVEST_SWEEP_STORE` environment variable decides. Under `--store`,
+//! `fault-sweep` also checkpoints decided cells into the pack as
+//! decided records, so resume and cache are one read path. `store stat`
+//! summarizes a store directory (`--json` for machine consumption);
+//! `store compact` merges its packs, dropping superseded records;
+//! `store scrub` quarantines corrupt byte spans and rewrites a clean
+//! store; `store import DIR FROM` is the one way legacy results enter a
+//! store — `FROM` is a per-file JSON cache directory or a JSONL
+//! campaign manifest, only read, and cells the store already holds are
+//! skipped, so re-running an import adds nothing.
 //!
 //! Campaign telemetry (all off by default, zero-cost when off):
 //! `--trace PATH` records phase and per-cell spans and exports them as
@@ -56,8 +60,8 @@
 //! stderr); `--flight DIR` (fault-sweep only) arms a crash flight
 //! recorder on every worker and writes one `*.flight.jsonl` post-mortem
 //! per failed cell, linked from the quarantine report. `report` folds a
-//! store/manifest, a progress stream, and a trace back into one
-//! markdown (or `--json`) campaign report.
+//! store, a progress stream, and a trace back into one markdown (or
+//! `--json`) campaign report; it only reads the store.
 //!
 //! Exit codes: 0 on success (including sweeps with quarantined cells),
 //! 1 on a runtime failure, 2 on a usage error.
@@ -66,17 +70,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use harvest_exp::artifact::RunArtifact;
-use harvest_exp::cache::{fnv1a64, SweepCache};
+use harvest_exp::cache::fnv1a64;
 use harvest_exp::figures::{
     miss_rate_figure_instrumented, robustness_campaign_instrumented, RobustnessConfig, Sabotage,
     SweepExecStats,
 };
-use harvest_exp::manifest::{CellOutcome, SweepManifest};
+use harvest_exp::manifest::CellOutcome;
 use harvest_exp::report::Table;
 use harvest_exp::scenario::{PaperScenario, PolicyKind, PredictorKind};
-use harvest_exp::store::{
-    store_from_env, DecidedStore, PackStore, TrialStore, DEFAULT_LEGACY_CACHE_DIR,
-};
+use harvest_exp::store::{store_from_env, DecidedStore, PackStore, TrialStore};
 use harvest_exp::telemetry::{CampaignTelemetry, FlightOptions};
 use harvest_obs::io::{Durability, IoHealth, RealIo, RetryPolicy};
 use harvest_obs::progress::{progress_from_jsonl, ProgressLine};
@@ -92,19 +94,20 @@ const USAGE: &str = "usage:
   exp diff        PATH BASELINE
   exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
                   [--durability none|batch|record]
-                  [--cache PATH] [--trace PATH] [--progress PATH] [--expect-warm]
+                  [--trace PATH] [--progress PATH] [--expect-warm]
   exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
-                  [--horizon UNITS] [--intensities A,B,..] [--manifest PATH]
+                  [--horizon UNITS] [--intensities A,B,..]
                   [--store DIR] [--durability none|batch|record]
-                  [--cache PATH] [--trace PATH] [--progress PATH]
+                  [--trace PATH] [--progress PATH]
                   [--flight DIR]
                   [--inject-panic POLICY:SEED:INTENSITY]
                   [--inject-starve POLICY:SEED:INTENSITY] [--expect-resumed]
-  exp report      [--store DIR] [--manifest PATH] [--progress PATH] [--trace PATH]
+  exp report      [--store DIR] [--progress PATH] [--trace PATH]
                   [--json] [--out PATH]
   exp store stat    DIR [--json]
   exp store compact DIR
-  exp store scrub   DIR [--json]";
+  exp store scrub   DIR [--json]
+  exp store import  DIR FROM";
 
 /// A failed invocation, split by whose fault it is: `Usage` exits 2 and
 /// reprints the usage text, `Runtime` exits 1 with a one-line message.
@@ -158,7 +161,6 @@ struct SweepArgs {
     threads: usize,
     store: Option<PathBuf>,
     durability: Durability,
-    cache: Option<PathBuf>,
     trace: Option<PathBuf>,
     progress: Option<PathBuf>,
     expect_warm: bool,
@@ -172,7 +174,6 @@ impl Default for SweepArgs {
             threads: 2,
             store: None,
             durability: Durability::default(),
-            cache: None,
             trace: None,
             progress: None,
             expect_warm: false,
@@ -192,10 +193,8 @@ struct FaultSweepArgs {
     threads: usize,
     horizon_units: i64,
     intensities: Vec<f64>,
-    manifest: Option<PathBuf>,
     store: Option<PathBuf>,
     durability: Durability,
-    cache: Option<PathBuf>,
     trace: Option<PathBuf>,
     progress: Option<PathBuf>,
     flight: Option<PathBuf>,
@@ -213,10 +212,8 @@ impl Default for FaultSweepArgs {
             threads: 2,
             horizon_units: 2_000,
             intensities: vec![0.0, 0.5, 1.0],
-            manifest: None,
             store: None,
             durability: Durability::default(),
-            cache: None,
             trace: None,
             progress: None,
             flight: None,
@@ -231,7 +228,6 @@ impl Default for FaultSweepArgs {
 #[derive(Debug, Clone, PartialEq, Default)]
 struct ReportArgs {
     store: Option<PathBuf>,
-    manifest: Option<PathBuf>,
     progress: Option<PathBuf>,
     trace: Option<PathBuf>,
     json: bool,
@@ -250,6 +246,7 @@ enum Command {
     StoreStat { dir: PathBuf, json: bool },
     StoreCompact(PathBuf),
     StoreScrub { dir: PathBuf, json: bool },
+    StoreImport { dir: PathBuf, from: PathBuf },
 }
 
 fn parse_policy(name: &str) -> Result<PolicyKind, String> {
@@ -359,29 +356,47 @@ where
         "fault-sweep" => Ok(Command::FaultSweep(parse_fault_sweep(it)?)),
         "report" => Ok(Command::Report(parse_report(it)?)),
         "store" => {
-            let verb = it
-                .next()
-                .map(|s| s.as_ref().to_owned())
-                .ok_or_else(|| "store expects `stat`, `compact`, or `scrub`".to_owned())?;
-            let mut dir: Option<PathBuf> = None;
+            let verb = it.next().map(|s| s.as_ref().to_owned()).ok_or_else(|| {
+                "store expects `stat`, `compact`, `scrub`, or `import`".to_owned()
+            })?;
+            let mut paths: Vec<PathBuf> = Vec::new();
             let mut json = false;
             for arg in it {
                 match arg.as_ref() {
                     "--json" => json = true,
-                    a if dir.is_none() && !a.starts_with("--") => dir = Some(PathBuf::from(a)),
+                    a if !a.starts_with("--") => paths.push(PathBuf::from(a)),
                     other => return Err(format!("unexpected argument {other}")),
                 }
             }
-            let dir = dir.ok_or_else(|| format!("store {verb} expects a store directory"))?;
-            match verb.as_str() {
-                "stat" => Ok(Command::StoreStat { dir, json }),
-                "compact" if json => Err("store compact does not take --json".into()),
-                "compact" => Ok(Command::StoreCompact(dir)),
-                "scrub" => Ok(Command::StoreScrub { dir, json }),
-                other => Err(format!(
-                    "unknown store verb `{other}` (try stat, compact, scrub)"
-                )),
+            let mut paths = paths.into_iter();
+            let dir = paths
+                .next()
+                .ok_or_else(|| format!("store {verb} expects a store directory"))?;
+            let cmd = match verb.as_str() {
+                "stat" => Command::StoreStat { dir, json },
+                "compact" => Command::StoreCompact(dir),
+                "scrub" => Command::StoreScrub { dir, json },
+                "import" => Command::StoreImport {
+                    dir,
+                    from: paths.next().ok_or_else(|| {
+                        "store import expects a source after the store directory \
+                         (a legacy cache directory or manifest file)"
+                            .to_owned()
+                    })?,
+                },
+                other => {
+                    return Err(format!(
+                        "unknown store verb `{other}` (try stat, compact, scrub, import)"
+                    ))
+                }
+            };
+            if let Some(extra) = paths.next() {
+                return Err(format!("unexpected argument {}", extra.display()));
             }
+            if json && matches!(cmd, Command::StoreCompact(_) | Command::StoreImport { .. }) {
+                return Err(format!("store {verb} does not take --json"));
+            }
+            Ok(cmd)
         }
         other => Err(format!("unknown subcommand `{other}`")),
     }
@@ -478,13 +493,11 @@ where
                     return Err("--intensities values must lie in [0, 1]".into());
                 }
             }
-            "--manifest" => out.manifest = Some(PathBuf::from(value()?)),
             "--store" => out.store = Some(PathBuf::from(value()?)),
             "--durability" => {
                 out.durability = Durability::parse(&value()?)
                     .ok_or_else(|| "--durability expects none, batch, or record".to_owned())?;
             }
-            "--cache" => out.cache = Some(PathBuf::from(value()?)),
             "--trace" => out.trace = Some(PathBuf::from(value()?)),
             "--progress" => out.progress = Some(PathBuf::from(value()?)),
             "--flight" => out.flight = Some(PathBuf::from(value()?)),
@@ -494,41 +507,13 @@ where
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if out.store.is_some() && out.cache.is_some() {
-        return Err("--store and --cache are mutually exclusive".into());
-    }
     Ok(out)
 }
 
-/// Opens the pack store at `dir`, one-time migrating any legacy
-/// per-file cache entries sitting in the default cache directory.
+/// Opens the pack store at `dir` at the requested durability.
 fn open_pack_store(dir: &std::path::Path, durability: Durability) -> Result<PackStore, String> {
-    let store = PackStore::open_with(dir, RealIo::shared(), RetryPolicy::default(), durability)
-        .map_err(|e| format!("cannot open store {}: {e}", dir.display()))?;
-    match store.migrate_legacy(DEFAULT_LEGACY_CACHE_DIR) {
-        Ok(0) => {}
-        Ok(n) => eprintln!("migrated {n} legacy cache entries from {DEFAULT_LEGACY_CACHE_DIR}"),
-        Err(e) => eprintln!("warning: legacy cache migration failed: {e}"),
-    }
-    Ok(store)
-}
-
-/// Resolves the sweep's trial store: `--store` wins, then `--cache`,
-/// then the environment (`HARVEST_SWEEP_STORE` / `HARVEST_SWEEP_CACHE`).
-fn open_trial_store(
-    store: &Option<PathBuf>,
-    cache: &Option<PathBuf>,
-    durability: Durability,
-) -> Result<Option<Box<dyn TrialStore>>, String> {
-    match (store, cache) {
-        (Some(dir), _) => Ok(Some(Box::new(open_pack_store(dir, durability)?))),
-        (None, Some(dir)) => {
-            Ok(Some(Box::new(SweepCache::new(dir).map_err(|e| {
-                format!("cannot open cache {}: {e}", dir.display())
-            })?)))
-        }
-        (None, None) => Ok(store_from_env()),
-    }
+    PackStore::open_with(dir, RealIo::shared(), RetryPolicy::default(), durability)
+        .map_err(|e| format!("cannot open store {}: {e}", dir.display()))
 }
 
 /// Publishes the sweep's execution accounting and the store's hit/miss
@@ -554,8 +539,7 @@ fn print_metrics(stats: &SweepExecStats, store: Option<&dyn TrialStore>, health:
     }
 }
 
-/// Prints the store's own accounting line, mirroring the legacy
-/// `cache dir=...` line for per-file caches.
+/// Prints the store's own accounting line.
 fn print_store_line(store: &dyn TrialStore) {
     let cs = store.stats();
     println!(
@@ -708,6 +692,22 @@ fn store_scrub(dir: &std::path::Path, json: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// `exp store import`: appends the cells of a legacy cache directory or
+/// manifest file that the store does not hold yet.
+fn store_import(dir: &std::path::Path, from: &std::path::Path) -> Result<(), String> {
+    let store = open_pack_store(dir, Durability::default())?;
+    let imported = store
+        .import(from)
+        .map_err(|e| format!("cannot import {}: {e}", from.display()))?;
+    println!(
+        "import dir={} from={} imported={imported} records={}",
+        dir.display(),
+        from.display(),
+        store.len()
+    );
+    Ok(())
+}
+
 /// The policy segment of a canonical trial key
 /// (`v1|{scenario}|{policy}|{seed}` — the second-to-last `|` field).
 fn key_policy(key: &str) -> &str {
@@ -716,7 +716,7 @@ fn key_policy(key: &str) -> &str {
     it.next().unwrap_or("?")
 }
 
-/// Folds decided cells (store or manifest) into the report: totals,
+/// Folds a store's decided cells into the report: totals,
 /// per-policy counts, and quarantine details.
 fn report_cells(
     entries: &[(String, CellOutcome)],
@@ -970,22 +970,18 @@ fn report_trace(
     Ok(())
 }
 
-/// `exp report`: folds a result store or manifest, a progress stream,
-/// and a span trace into one campaign report (markdown, or `--json`).
+/// `exp report`: folds a result store, a progress stream, and a span
+/// trace into one campaign report (markdown, or `--json`). The store is
+/// only read: a missing directory is an error, not a new empty store.
 fn campaign_report(args: &ReportArgs) -> Result<(), String> {
     let mut md = String::from("# Campaign report\n");
     let mut json: Vec<(String, Value)> = Vec::new();
-    let decided = match (&args.store, &args.manifest) {
-        (Some(dir), _) => Some(open_pack_store(dir, Durability::default())?.decided_entries()),
-        (None, Some(path)) => Some(
-            SweepManifest::open(path)
-                .map_err(|e| format!("cannot open manifest {}: {e}", path.display()))?
-                .decided_entries(),
-        ),
-        (None, None) => None,
-    };
-    if let Some(entries) = &decided {
-        report_cells(entries, &mut md, &mut json);
+    if let Some(dir) = &args.store {
+        if !dir.is_dir() {
+            return Err(format!("no store at {}", dir.display()));
+        }
+        let entries = open_pack_store(dir, Durability::default())?.decided_entries();
+        report_cells(&entries, &mut md, &mut json);
     }
     if let Some(path) = &args.progress {
         report_progress(path, &mut md, &mut json)?;
@@ -1013,52 +1009,25 @@ fn campaign_report(args: &ReportArgs) -> Result<(), String> {
 }
 
 fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
-    // `--store` plays both roles: trial cache and decided-cell manifest
-    // (one read path). An explicit `--manifest` still takes the
-    // manifest role so a JSONL checkpoint can ride alongside the pack.
+    // `--store` is the decided store: its records resume the campaign
+    // and already answer everything a trial-store probe could, so it
+    // takes no trial-store role (that would append every decided cell
+    // twice). Without `--store`, an environment-selected store serves
+    // as a plain trial cache.
     let pack = args
         .store
         .as_ref()
         .map(|d| open_pack_store(d, args.durability))
         .transpose()?;
-    let cache: Option<Box<dyn TrialStore>> = if pack.is_some() {
-        None
-    } else {
-        open_trial_store(&None, &args.cache, args.durability)?
-    };
-    let manifest = match &args.manifest {
-        Some(path) => Some(
-            SweepManifest::open_with(
-                path,
-                RealIo::shared(),
-                RetryPolicy::default(),
-                args.durability,
-            )
-            .map_err(|e| format!("cannot open manifest {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-    let manifest_ref: Option<&dyn DecidedStore> = manifest
-        .as_ref()
-        .map(|m| m as &dyn DecidedStore)
-        .or_else(|| pack.as_ref().map(|p| p as &dyn DecidedStore));
-    // When the pack *is* the manifest, its decided records already
-    // answer everything a trial-store probe could, and wiring it into
-    // both roles would append every decided cell twice (`store` plus
-    // `record_done`). The pack acts as a plain trial cache only while
-    // an explicit JSONL manifest holds the manifest role.
-    let store_ref: Option<&dyn TrialStore> = if manifest.is_some() {
-        pack.as_ref().map(|p| p as &dyn TrialStore)
+    let env_store = if pack.is_none() {
+        store_from_env()
     } else {
         None
-    }
-    .or(cache.as_deref());
-    // Accounting still reports the pack even when it only serves
-    // through the manifest role.
-    let stats_ref: Option<&dyn TrialStore> = pack
+    };
+    let accounted: Option<&dyn TrialStore> = pack
         .as_ref()
         .map(|p| p as &dyn TrialStore)
-        .or(cache.as_deref());
+        .or(env_store.as_deref());
     let config = RobustnessConfig {
         utilization: args.utilization,
         capacity: args.capacity,
@@ -1077,8 +1046,8 @@ fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
     let telemetry = build_telemetry(&args.trace, &args.progress, &args.flight)?;
     let report = robustness_campaign_instrumented(
         &config,
-        store_ref,
-        manifest_ref,
+        env_store.as_deref(),
+        pack.as_ref().map(|p| p as &dyn DecidedStore),
         |cell| {
             if matches(&args.inject_panic, cell) {
                 Sabotage::Panic
@@ -1134,20 +1103,11 @@ fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
     for (i, qs) in report.queues.iter().enumerate() {
         println!("queue worker={i} slab_capacity={}", qs.slab_capacity);
     }
-    if let Some(s) = stats_ref {
+    if let Some(s) = accounted {
         print_store_line(s);
     }
-    // Merge recovery accounting across both store roles: the pack (or
-    // cache) on the trial path and the JSONL manifest on the decided
-    // path share one `store.*` metric namespace.
-    let mut health = IoHealth::default();
-    if let Some(s) = stats_ref {
-        health = health.merge(s.io_health());
-    }
-    if let Some(m) = &manifest {
-        health = health.merge(m.io_health());
-    }
-    print_metrics(&report.exec, stats_ref, &health);
+    let health = accounted.map(|s| s.io_health()).unwrap_or_default();
+    print_metrics(&report.exec, accounted, &health);
     finish_telemetry(&telemetry, &args.trace)?;
     if args.expect_resumed && report.exec.simulated != 0 {
         return Err(format!(
@@ -1202,15 +1162,11 @@ where
                 out.durability = Durability::parse(&value()?)
                     .ok_or_else(|| "--durability expects none, batch, or record".to_owned())?;
             }
-            "--cache" => out.cache = Some(PathBuf::from(value()?)),
             "--trace" => out.trace = Some(PathBuf::from(value()?)),
             "--progress" => out.progress = Some(PathBuf::from(value()?)),
             "--expect-warm" => out.expect_warm = true,
             other => return Err(format!("unknown flag {other}")),
         }
-    }
-    if out.store.is_some() && out.cache.is_some() {
-        return Err("--store and --cache are mutually exclusive".into());
     }
     Ok(out)
 }
@@ -1231,7 +1187,6 @@ where
         };
         match flag.as_str() {
             "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--manifest" => out.manifest = Some(PathBuf::from(value()?)),
             "--progress" => out.progress = Some(PathBuf::from(value()?)),
             "--trace" => out.trace = Some(PathBuf::from(value()?)),
             "--json" => out.json = true,
@@ -1239,23 +1194,17 @@ where
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if out.store.is_some() && out.manifest.is_some() {
-        return Err("--store and --manifest are mutually exclusive".into());
-    }
-    if out.store.is_none()
-        && out.manifest.is_none()
-        && out.progress.is_none()
-        && out.trace.is_none()
-    {
-        return Err(
-            "report needs at least one input (--store, --manifest, --progress, or --trace)".into(),
-        );
+    if out.store.is_none() && out.progress.is_none() && out.trace.is_none() {
+        return Err("report needs at least one input (--store, --progress, or --trace)".into());
     }
     Ok(out)
 }
 
 fn sweep(args: &SweepArgs) -> Result<(), String> {
-    let store = open_trial_store(&args.store, &args.cache, args.durability)?;
+    let store: Option<Box<dyn TrialStore>> = match &args.store {
+        Some(dir) => Some(Box::new(open_pack_store(dir, args.durability)?)),
+        None => store_from_env(),
+    };
     let store_ref = store.as_deref();
     let telemetry = build_telemetry(&args.trace, &args.progress, &None)?;
     let (figure, stats) = miss_rate_figure_instrumented(
@@ -1289,7 +1238,7 @@ fn sweep(args: &SweepArgs) -> Result<(), String> {
     finish_telemetry(&telemetry, &args.trace)?;
     if args.expect_warm && stats.simulated != 0 {
         return Err(format!(
-            "expected a warm cache but {} of {} cells were simulated",
+            "expected a warm store but {} of {} cells were simulated",
             stats.simulated,
             stats.simulated + stats.cached
         ));
@@ -1342,6 +1291,7 @@ fn run(cmd: Command) -> Result<(), ExpError> {
         Command::StoreStat { dir, json } => store_stat(&dir, json),
         Command::StoreCompact(dir) => store_compact(&dir),
         Command::StoreScrub { dir, json } => store_scrub(&dir, json),
+        Command::StoreImport { dir, from } => store_import(&dir, &from),
     };
     // Everything past parsing is the machine's fault, not the user's.
     result.map_err(ExpError::Runtime)
@@ -1407,15 +1357,13 @@ mod tests {
             "3",
             "--threads",
             "2",
-            "--cache",
-            "/tmp/sweep-cache",
             "--expect-warm",
         ])
         .unwrap();
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.trials, 3);
         assert_eq!(args.threads, 2);
-        assert_eq!(args.cache, Some(PathBuf::from("/tmp/sweep-cache")));
+        assert_eq!(args.store, None);
         assert!(args.expect_warm);
         assert_eq!(args.trace, None);
         assert_eq!(args.progress, None);
@@ -1428,11 +1376,10 @@ mod tests {
 
         let stored = parse_sweep(["--store", "/tmp/sweep-store"]).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/sweep-store")));
-        assert_eq!(stored.cache, None);
         assert_eq!(stored.durability, Durability::Batch);
-        assert!(parse_sweep(["--store", "/tmp/a", "--cache", "/tmp/b"])
+        assert!(parse_sweep(["--cache", "/tmp/b"])
             .unwrap_err()
-            .contains("mutually exclusive"));
+            .contains("unknown flag"));
 
         for (name, level) in [
             ("none", Durability::None),
@@ -1462,10 +1409,6 @@ mod tests {
             "1500",
             "--intensities",
             "0.0, 0.5, 1.0",
-            "--manifest",
-            "/tmp/m.jsonl",
-            "--cache",
-            "/tmp/c",
             "--inject-panic",
             "lsa:0:0.5",
             "--inject-starve",
@@ -1478,7 +1421,6 @@ mod tests {
         assert_eq!(args.trials, 3);
         assert_eq!(args.horizon_units, 1500);
         assert_eq!(args.intensities, vec![0.0, 0.5, 1.0]);
-        assert_eq!(args.manifest, Some(PathBuf::from("/tmp/m.jsonl")));
         assert_eq!(args.inject_panic, vec![(PolicyKind::Lsa, 0, 0.5)]);
         assert_eq!(args.inject_starve, vec![(PolicyKind::EaDvfs, 1, 1.0)]);
         assert!(args.expect_resumed);
@@ -1493,11 +1435,11 @@ mod tests {
             parse_fault_sweep(["--store", "/tmp/campaign", "--durability", "record"]).unwrap();
         assert_eq!(durable.durability, Durability::Record);
         assert!(parse_fault_sweep(["--durability", "fsync-everything"]).is_err());
-        assert!(
-            parse_fault_sweep(["--store", "/tmp/a", "--cache", "/tmp/b"])
+        for removed in ["--cache", "--manifest"] {
+            assert!(parse_fault_sweep([removed, "/tmp/b"])
                 .unwrap_err()
-                .contains("mutually exclusive")
-        );
+                .contains("unknown flag"));
+        }
 
         let observed = parse_fault_sweep([
             "--trace",
@@ -1533,20 +1475,20 @@ mod tests {
         assert!(args.json);
         assert_eq!(args.out, Some(PathBuf::from("/tmp/report.json")));
 
-        let from_manifest = parse_report(["--manifest", "/tmp/m.jsonl"]).unwrap();
-        assert_eq!(from_manifest.manifest, Some(PathBuf::from("/tmp/m.jsonl")));
-        assert!(!from_manifest.json);
+        let from_progress = parse_report(["--progress", "/tmp/p.jsonl"]).unwrap();
+        assert_eq!(from_progress.store, None);
+        assert!(!from_progress.json);
 
-        // No input at all is a usage error; so are both cell sources.
+        // No input at all is a usage error; so is the retired manifest.
         assert!(parse_report(Vec::<String>::new())
             .unwrap_err()
             .contains("at least one input"));
         assert!(parse_report(["--json"])
             .unwrap_err()
             .contains("at least one input"));
-        assert!(parse_report(["--store", "/tmp/a", "--manifest", "/tmp/b"])
+        assert!(parse_report(["--manifest", "/tmp/b"])
             .unwrap_err()
-            .contains("mutually exclusive"));
+            .contains("unknown flag"));
         assert!(parse_report(["--bogus"]).is_err());
     }
 
@@ -1591,6 +1533,16 @@ mod tests {
             }
             other => panic!("wrong command: {other:?}"),
         }
+        match parse_command(["store", "import", "/tmp/s", "/tmp/legacy"]).unwrap() {
+            Command::StoreImport { dir, from } => {
+                assert_eq!(dir, PathBuf::from("/tmp/s"));
+                assert_eq!(from, PathBuf::from("/tmp/legacy"));
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+        assert!(parse_command(["store", "import", "/tmp/s"]).is_err());
+        assert!(parse_command(["store", "import", "/tmp/s", "/tmp/a", "/tmp/b"]).is_err());
+        assert!(parse_command(["store", "import", "/tmp/s", "/tmp/a", "--json"]).is_err());
         assert!(parse_command(["store"]).is_err());
         assert!(parse_command(["store", "scrub"]).is_err());
         assert!(parse_command(["store", "stat"]).is_err());

@@ -1,49 +1,37 @@
-//! Content-addressed on-disk cache of sweep trial results.
+//! Trial identity and the figure-facing trial summary.
 //!
 //! The Fig. 5–9 evaluations are grids of thousands of independent
 //! trials, each fully determined by `(scenario, policy, seed)` — the
 //! simulator is deterministic. This module gives every such cell a
-//! stable fingerprint and persists its [`TrialSummary`] (the handful of
-//! numbers the figure drivers actually consume) under
-//! `target/sweep-cache/`, so re-running a figure after an interruption,
-//! or probing a capacity the `min_zero_miss_capacity` search already
-//! visited in an earlier run, skips the simulation entirely.
+//! stable [`TrialKey`] and reduces its result to a [`TrialSummary`]
+//! (the handful of numbers the figure drivers actually consume), the
+//! two things the pack store ([`crate::store::PackStore`]) persists so
+//! re-running a figure, resuming a campaign, or probing a capacity the
+//! `min_zero_miss_capacity` search already visited skips the
+//! simulation entirely.
 //!
 //! Integrity rules:
 //!
-//! * The cache key is the **canonical key text** (schema version +
-//!   serialized scenario + policy name + seed), not just its hash: every
-//!   entry stores the text and a lookup re-verifies it, so a fingerprint
-//!   collision or a poisoned file can never substitute a foreign result.
-//! * Entries that fail to parse, carry the wrong key, or are truncated
-//!   are rejected and recomputed — a cache read never trusts the file.
+//! * The key is the **canonical key text** (schema version +
+//!   serialized scenario + policy name + seed), not just its hash:
+//!   every stored record carries the text and a lookup re-verifies it,
+//!   so a fingerprint collision or a poisoned record can never
+//!   substitute a foreign result.
 //! * [`CACHE_SCHEMA_VERSION`] participates in the key text; bump it on
 //!   any change to simulation semantics or to the summary layout, and
-//!   every stale entry misses naturally.
+//!   every stale record misses naturally.
 //! * Sampled storage levels round-trip as `f64::to_bits` integers, so a
-//!   warm-cache figure is bit-identical to a cold one.
-
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+//!   warm figure is bit-identical to a cold one.
 
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{PaperScenario, PolicyKind};
 use harvest_core::result::SimResult;
-use harvest_obs::io::{IoCounters, IoHealth, RealIo, RetryPolicy, StoreIo};
 
-/// Version of the cached-trial contract. Participates in every key, so
-/// bumping it invalidates all prior entries. Bump whenever simulation
+/// Version of the stored-trial contract. Participates in every key, so
+/// bumping it invalidates all prior records. Bump whenever simulation
 /// semantics, scenario serialization, or the summary layout change.
 pub const CACHE_SCHEMA_VERSION: u32 = 1;
-
-/// Environment variable gating the sweep cache (read by
-/// [`SweepCache::from_env`]): unset, empty, or `0` disables; `1`
-/// enables at the default `target/sweep-cache/`; any other value is
-/// used as the cache directory path.
-pub const SWEEP_CACHE_ENV: &str = "HARVEST_SWEEP_CACHE";
 
 /// FNV-1a 64-bit, the workspace's standing content-hash choice. Public
 /// so smoke tooling can digest figure outputs for equality checks.
@@ -109,13 +97,13 @@ impl TrialKey {
         TrialKey { text, fingerprint }
     }
 
-    /// The canonical key text (stored inside every cache entry).
+    /// The canonical key text (stored inside every record).
     pub fn text(&self) -> &str {
         &self.text
     }
 
-    /// 64-bit content fingerprint of the key text; names the on-disk
-    /// entry. Collisions are harmless (the stored text disambiguates)
+    /// 64-bit content fingerprint of the key text; indexes the stored
+    /// record. Collisions are harmless (the stored text disambiguates)
     /// but cost a recompute.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
@@ -183,24 +171,18 @@ impl TrialSummary {
     }
 }
 
-/// On-disk entry layout: the key text for verification plus the payload.
-#[derive(Debug, Serialize, Deserialize)]
-struct CacheEntry {
-    key: String,
-    summary: TrialSummary,
-}
-
-/// Hit/miss accounting of one [`SweepCache`] over its lifetime.
+/// Hit/miss accounting of one [`TrialStore`](crate::store::TrialStore)
+/// over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from disk.
+    /// Lookups answered from the store.
     pub hits: u64,
-    /// Lookups with no usable entry (absent or rejected).
+    /// Lookups with no usable record (absent or rejected).
     pub misses: u64,
-    /// Entries rejected on integrity grounds (unparseable, truncated,
-    /// or carrying a foreign key). A subset of `misses`.
+    /// Records rejected on integrity grounds (undecodable payload or a
+    /// foreign key behind the fingerprint). A subset of `misses`.
     pub rejects: u64,
-    /// Entries written.
+    /// Records written.
     pub stores: u64,
 }
 
@@ -225,219 +207,9 @@ impl CacheStats {
     }
 }
 
-/// A content-addressed store of [`TrialSummary`] values, one JSON file
-/// per key under a cache directory. Shared immutably across sweep
-/// workers — all counters are atomic and writes go through a
-/// temp-file-plus-rename so concurrent readers never observe a torn
-/// entry.
-#[derive(Debug)]
-pub struct SweepCache {
-    dir: PathBuf,
-    io: Arc<dyn StoreIo>,
-    retry: RetryPolicy,
-    counters: Arc<IoCounters>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejects: AtomicU64,
-    stores: AtomicU64,
-    write_degraded: AtomicBool,
-}
-
-impl SweepCache {
-    /// Opens (and creates) a cache rooted at `dir`.
-    pub fn new(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::new_with(dir, RealIo::shared(), RetryPolicy::default())
-    }
-
-    /// [`new`](Self::new) with an explicit I/O backend and retry policy
-    /// (fault injection in tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns the IO error when the directory cannot be created.
-    pub fn new_with(
-        dir: impl Into<PathBuf>,
-        io: Arc<dyn StoreIo>,
-        retry: RetryPolicy,
-    ) -> std::io::Result<Self> {
-        let dir = dir.into();
-        io.create_dir_all(&dir)?;
-        Ok(SweepCache {
-            dir,
-            io,
-            retry,
-            counters: Arc::new(IoCounters::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            rejects: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-            write_degraded: AtomicBool::new(false),
-        })
-    }
-
-    /// Builds the cache the environment asks for (see
-    /// [`SWEEP_CACHE_ENV`]): `None` when disabled or unset. A directory
-    /// that cannot be created degrades gracefully — a warning on
-    /// stderr, then the sweep runs uncached; a sweep must not fail
-    /// because its cache is unavailable. The warning fires on each
-    /// healthy→failing *transition* (not once per process), so a later
-    /// campaign re-probes a fixed directory and a later regression
-    /// warns again.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(SWEEP_CACHE_ENV).ok()?;
-        let raw = raw.trim();
-        if raw.is_empty() || raw == "0" {
-            return None;
-        }
-        let dir = if raw == "1" {
-            PathBuf::from("target/sweep-cache")
-        } else {
-            PathBuf::from(raw)
-        };
-        // Tracks whether the last open attempt failed, so the warning
-        // fires on transitions instead of once-ever.
-        static FAILING: AtomicBool = AtomicBool::new(false);
-        match SweepCache::new(&dir) {
-            Ok(cache) => {
-                if FAILING.swap(false, Ordering::Relaxed) {
-                    eprintln!(
-                        "note: sweep cache at {} is reachable again; caching resumed",
-                        dir.display()
-                    );
-                }
-                Some(cache)
-            }
-            Err(e) => {
-                if !FAILING.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: cannot open sweep cache at {} ({e}); running uncached",
-                        dir.display()
-                    );
-                }
-                None
-            }
-        }
-    }
-
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn entry_path(&self, key: &TrialKey) -> PathBuf {
-        self.dir.join(format!("{:016x}.json", key.fingerprint()))
-    }
-
-    /// Looks `key` up. Any unreadable, unparseable, or key-mismatched
-    /// entry counts as a miss (and a reject) — never as data.
-    pub fn get(&self, key: &TrialKey) -> Option<TrialSummary> {
-        let path = self.entry_path(key);
-        let text = match self.io.read_to_string(&path) {
-            Ok(t) => t,
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match serde_json::from_str::<CacheEntry>(&text) {
-            Ok(entry) if entry.key == key.text() => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.summary)
-            }
-            _ => {
-                // Truncated write, foreign key behind a fingerprint
-                // collision, or deliberate poisoning: reject, recompute.
-                self.rejects.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Persists `summary` under `key` (temp file + rename, so readers
-    /// see old-or-new, never torn). An IO failure never fails the run:
-    /// the first one warns on stderr and flips the cache into
-    /// write-degraded mode — reads keep working (a read-only cache
-    /// directory still answers hits), further writes are skipped.
-    pub fn put(&self, key: &TrialKey, summary: &TrialSummary) {
-        if self.write_degraded.load(Ordering::Relaxed) {
-            return;
-        }
-        let entry = CacheEntry {
-            key: key.text().to_owned(),
-            summary: summary.clone(),
-        };
-        let Ok(json) = serde_json::to_string(&entry) else {
-            return;
-        };
-        let path = self.entry_path(key);
-        // Writer-unique temp name: concurrent workers computing the same
-        // cell must not clobber each other's half-written temp file.
-        let tmp = self.dir.join(format!(
-            "{:016x}.{:?}.tmp",
-            key.fingerprint(),
-            std::thread::current().id()
-        ));
-        let result = self.retry.run(&self.counters, || {
-            let mut f = self.io.create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.flush()?;
-            drop(f);
-            self.io.rename(&tmp, &path)
-        });
-        match result {
-            Ok(()) => {
-                self.stores.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                let _ = self.io.remove_file(&tmp);
-                self.counters.note_degraded();
-                if !self.write_degraded.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: sweep cache at {} rejected a write ({e}); \
-                         continuing without caching new results",
-                        self.dir.display()
-                    );
-                }
-            }
-        }
-    }
-
-    /// Lifetime hit/miss counts.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rejects: self.rejects.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Snapshot of this cache's recovery accounting (retries taken,
-    /// degradations).
-    pub fn io_health(&self) -> IoHealth {
-        self.counters.snapshot()
-    }
-
-    /// Clears a sticky write degradation so the next campaign re-probes
-    /// the directory instead of staying read-only for process lifetime.
-    pub fn reprobe(&self) {
-        self.write_degraded.store(false, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scratch_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "harvest-sweep-cache-test-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn summary() -> TrialSummary {
         TrialSummary {
@@ -482,28 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_preserves_summary_bits() {
-        let dir = scratch_dir("roundtrip");
-        let cache = SweepCache::new(&dir).unwrap();
-        let key = TrialKey::new(&PaperScenario::new(0.8, 100.0), PolicyKind::Lsa, 3);
-        assert_eq!(cache.get(&key), None);
-        let s = summary();
-        cache.put(&key, &s);
-        assert_eq!(cache.get(&key), Some(s.clone()));
-        assert_eq!(
-            cache.get(&key).unwrap().normalized_sample_values(2.0),
-            vec![0.5, 0.125]
-        );
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stores), (2, 1, 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn summary_rates_mirror_sim_result() {
         let s = summary();
         assert_eq!(s.miss_rate(), 10.0 / 40.0);
         assert!(!s.is_miss_free());
+        assert_eq!(s.normalized_sample_values(2.0), vec![0.5, 0.125]);
         let clean = TrialSummary {
             missed: 0,
             ..summary()
@@ -515,92 +270,5 @@ mod tests {
             ..summary()
         };
         assert_eq!(undecided.miss_rate(), 0.0);
-    }
-
-    #[test]
-    fn poisoned_and_truncated_entries_are_rejected() {
-        let dir = scratch_dir("poison");
-        let cache = SweepCache::new(&dir).unwrap();
-        let key = TrialKey::new(&PaperScenario::new(0.4, 500.0), PolicyKind::EaDvfs, 0);
-        cache.put(&key, &summary());
-        let path = dir.join(format!("{:016x}.json", key.fingerprint()));
-
-        // Truncate: reject.
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-        assert_eq!(cache.get(&key), None, "truncated entry must be rejected");
-
-        // Valid JSON under a foreign key: reject.
-        let foreign = CacheEntry {
-            key: "v1|something-else|edf|9".to_owned(),
-            summary: summary(),
-        };
-        std::fs::write(&path, serde_json::to_string(&foreign).unwrap()).unwrap();
-        assert_eq!(cache.get(&key), None, "foreign key must be rejected");
-
-        // Not JSON at all: reject.
-        std::fs::write(&path, b"{ not json").unwrap();
-        assert_eq!(cache.get(&key), None);
-
-        assert_eq!(cache.stats().rejects, 3);
-
-        // Recompute-and-store heals the entry.
-        cache.put(&key, &summary());
-        assert_eq!(cache.get(&key), Some(summary()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn unopenable_cache_dir_degrades_to_uncached() {
-        use crate::test_support::with_env;
-        // Root ignores permission bits, so "unwritable" is staged as a
-        // plain file standing where a directory must go: create_dir_all
-        // on `<file>/sub` fails for any uid.
-        let blocker = scratch_dir("blocker");
-        std::fs::write(&blocker, b"not a directory").unwrap();
-        let dir = blocker.join("sub");
-        let dir_str = dir.to_str().unwrap().to_owned();
-        with_env(&[(SWEEP_CACHE_ENV, Some(dir_str.as_str()))], || {
-            assert!(
-                SweepCache::from_env().is_none(),
-                "an unopenable cache dir must disable caching, not fail"
-            );
-        });
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn failed_writes_degrade_without_failing_the_run() {
-        let dir = scratch_dir("write-degraded");
-        let cache = SweepCache::new(&dir).unwrap();
-        // Yank the directory out from under the cache: every write
-        // now fails, which must degrade (once) instead of erroring.
-        std::fs::remove_dir_all(&dir).unwrap();
-        let key = TrialKey::new(&PaperScenario::new(0.4, 500.0), PolicyKind::Edf, 1);
-        cache.put(&key, &summary());
-        cache.put(&key, &summary());
-        assert_eq!(cache.stats().stores, 0, "no write can have landed");
-        assert_eq!(cache.get(&key), None, "reads degrade to misses");
-    }
-
-    #[test]
-    fn from_env_is_read_under_the_shared_lock() {
-        use crate::test_support::with_env;
-        let dir = scratch_dir("fromenv");
-        let dir_str = dir.to_str().unwrap().to_owned();
-        with_env(&[(SWEEP_CACHE_ENV, None)], || {
-            assert!(SweepCache::from_env().is_none());
-        });
-        with_env(&[(SWEEP_CACHE_ENV, Some("0"))], || {
-            assert!(SweepCache::from_env().is_none());
-        });
-        with_env(&[(SWEEP_CACHE_ENV, Some(""))], || {
-            assert!(SweepCache::from_env().is_none());
-        });
-        with_env(&[(SWEEP_CACHE_ENV, Some(dir_str.as_str()))], || {
-            let cache = SweepCache::from_env().expect("explicit dir enables the cache");
-            assert_eq!(cache.dir(), dir.as_path());
-        });
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

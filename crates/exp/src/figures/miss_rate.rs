@@ -61,8 +61,8 @@ pub(crate) fn sweep_capacities() -> Vec<f64> {
 
 /// Reproduces Fig. 8/9 for the given utilization.
 ///
-/// Store-gated by the `HARVEST_SWEEP_STORE` / `HARVEST_SWEEP_CACHE`
-/// environment variables (see [`crate::store`]); use
+/// Store-gated by the `HARVEST_SWEEP_STORE` environment variable (see
+/// [`crate::store::store_from_env`]); use
 /// [`miss_rate_figure_cached`] to pass a store explicitly.
 ///
 /// # Panics

@@ -12,8 +12,7 @@
 //! is reported, not fatal), honors an engine watchdog (a stuck cell
 //! aborts with a typed error and is quarantined), consults the trial
 //! store, and checkpoints every decided cell into an optional
-//! [`DecidedStore`] — the JSONL
-//! [`SweepManifest`](crate::manifest::SweepManifest) or the pack-file
+//! [`DecidedStore`] — the pack-file
 //! [`PackStore`](crate::store::PackStore), whose decided records make
 //! resume and cache one read path — so a killed campaign resumes
 //! without re-simulating finished cells.
@@ -766,19 +765,17 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("campaign.manifest.jsonl");
         let config = small_config();
 
-        let manifest = crate::manifest::SweepManifest::open(&path).unwrap();
-        let first = robustness_campaign(&config, None, Some(&manifest), |_| Sabotage::None);
+        let store = crate::store::PackStore::open(&dir).unwrap();
+        let first = robustness_campaign(&config, None, Some(&store), |_| Sabotage::None);
         assert_eq!(first.resumed, 0);
         assert_eq!(first.exec.simulated, 8);
-        drop(manifest);
+        drop(store);
 
-        let manifest = crate::manifest::SweepManifest::open(&path).unwrap();
-        assert_eq!(manifest.resumed(), 8);
-        let second = robustness_campaign(&config, None, Some(&manifest), |_| Sabotage::None);
+        let store = crate::store::PackStore::open(&dir).unwrap();
+        assert_eq!(DecidedStore::resumed(&store), 8);
+        let second = robustness_campaign(&config, None, Some(&store), |_| Sabotage::None);
         assert_eq!(second.exec.simulated, 0, "nothing re-simulates");
         assert_eq!(second.resumed, 8);
         assert_eq!(

@@ -8,10 +8,13 @@
 //!   Table 1).
 //! * [`parallel`] — deterministic multi-threaded trial fan-out, with a
 //!   quarantining mode that contains per-cell panics.
-//! * [`manifest`] — the incremental checkpoint file behind
-//!   kill-and-resume campaigns.
-//! * [`store`] — the pack-file result store: segment-packed trial
-//!   summaries, batch probes, unified cache + resume records.
+//! * [`cache`] — trial identity ([`cache::TrialKey`]) and the
+//!   figure-facing [`cache::TrialSummary`].
+//! * [`manifest`] — decided-cell outcomes and the reader for legacy
+//!   JSONL manifests.
+//! * [`store`] — the pack-file result store, the only persistence
+//!   backend: segment-packed trial summaries, batch probes, unified
+//!   cache + resume records, and `exp store import` for legacy data.
 //! * [`telemetry`] — the campaign observer bundle: span tracing with
 //!   Chrome-trace export, live progress streaming, and crash
 //!   flight-recorder dumps (`exp sweep --trace/--progress`,
@@ -62,7 +65,7 @@ pub mod test_support {
     static ENV_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
 
     /// Serializes every test that reads or writes process-global
-    /// environment variables (`HARVEST_THREADS`, `HARVEST_SWEEP_CACHE`,
+    /// environment variables (`HARVEST_THREADS`, `HARVEST_SWEEP_STORE`,
     /// …). `std::env::set_var` is process-wide, so unsynchronized tests
     /// race; take this lock around *both* mutation and the code under
     /// test. Poisoning is ignored: a panicked test must not cascade.

@@ -1,51 +1,39 @@
-//! Incrementally-written sweep manifest: checkpoint/resume for long
-//! campaigns.
+//! Decided-cell outcomes, and the reader for legacy JSONL manifests.
 //!
-//! A campaign writes one JSONL line per *decided* cell — `done` with
-//! its [`TrialSummary`], or `quarantined` with its [`CellFailure`] —
-//! flushing after every line. A killed campaign therefore leaves a
-//! manifest naming every cell it finished; re-running with the same
-//! manifest resolves those cells without re-simulating and only the
-//! pending remainder executes.
+//! A fault campaign decides every cell either cleanly, with its
+//! [`TrialSummary`], or by quarantine, with its [`CellFailure`]. The
+//! pack store ([`crate::store::PackStore`]) checkpoints both kinds as
+//! decided records, so a killed campaign resumes without re-simulating
+//! finished cells. Quarantined cells count as decided: the simulator is
+//! deterministic, so a cell that panicked or tripped the watchdog will
+//! do so again — resuming re-reports it instead of re-failing.
 //!
-//! Integrity rules mirror [`crate::cache`]:
-//!
-//! * Cells are keyed by the canonical [`TrialKey`](crate::cache::TrialKey)
-//!   **text** (schema version + serialized scenario + policy + seed),
-//!   so a manifest can never resolve a cell from a different grid, and
-//!   renaming/reordering the grid misses naturally.
-//! * A kill mid-write can leave a torn final line. [`SweepManifest::open`]
-//!   tolerates that: the damaged tail is truncated away and its cells
-//!   recompute. A corrupt line *inside* the file conservatively drops
-//!   everything from the corruption onward.
-//! * Quarantined cells count as decided: the simulator is
-//!   deterministic, so a cell that panicked or tripped the watchdog
-//!   will do so again — resuming re-reports it instead of re-failing.
+//! Campaigns once checkpointed into a JSONL manifest instead, one line
+//! per decided cell keyed by the canonical
+//! [`TrialKey`](crate::cache::TrialKey) text. [`parse_legacy_manifest`]
+//! reads such a file's text so `exp store import` can move its cells
+//! into a pack store; nothing writes the format any more.
 
-use std::collections::HashMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::cache::TrialSummary;
 use crate::parallel::CellFailure;
-use harvest_obs::io::{Durability, IoCounters, IoHealth, RealIo, RetryPolicy, StoreFile, StoreIo};
 
-/// How a manifest remembers one decided cell.
+/// How a decided cell was decided.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellOutcome {
-    /// The cell simulated (or cache-resolved) cleanly.
+    /// The cell simulated (or store-resolved) cleanly.
     Done(TrialSummary),
     /// The cell was quarantined: it panicked or returned a typed
     /// simulation error.
     Quarantined(CellFailure),
 }
 
-/// On-disk line layout. `status` discriminates; exactly one of
+/// One legacy manifest line. `status` discriminates; exactly one of
 /// `summary`/`failure` is populated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct ManifestLine {
     key: String,
     status: String,
@@ -64,348 +52,75 @@ impl ManifestLine {
     }
 }
 
-#[derive(Debug)]
-struct ManifestState {
-    file: Box<dyn StoreFile>,
-    entries: HashMap<String, CellOutcome>,
-    /// Lines appended since the last successful durability barrier.
-    dirty: u64,
-}
-
-/// A checkpoint file for one sweep campaign (see the module docs).
-///
-/// Shared immutably across workers: records serialize through an
-/// internal mutex and flush line-by-line, so the on-disk state always
-/// trails the in-flight campaign by at most the line being written.
-#[derive(Debug)]
-pub struct SweepManifest {
-    path: PathBuf,
-    resumed: usize,
-    retry: RetryPolicy,
-    durability: Durability,
-    counters: Arc<IoCounters>,
-    state: Mutex<ManifestState>,
-}
-
-impl SweepManifest {
-    /// Opens `path`, creating it when absent and loading every decided
-    /// cell when present. A torn or corrupt tail is truncated away (its
-    /// cells simply recompute); the good prefix is kept.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying IO error when the file cannot be read,
-    /// truncated, or opened for append.
-    pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Self> {
-        Self::open_with(
-            path,
-            RealIo::shared(),
-            RetryPolicy::default(),
-            Durability::default(),
-        )
-    }
-
-    /// [`open`](Self::open) with an explicit I/O backend, retry policy,
-    /// and durability level (fault injection in tests; the
-    /// `--durability` flag).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`open`](Self::open).
-    pub fn open_with(
-        path: impl Into<PathBuf>,
-        io: Arc<dyn StoreIo>,
-        retry: RetryPolicy,
-        durability: Durability,
-    ) -> std::io::Result<Self> {
-        let path = path.into();
-        let text = match io.read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut entries = HashMap::new();
-        let mut good = 0usize;
-        for chunk in text.split_inclusive('\n') {
-            if !chunk.ends_with('\n') {
-                break; // torn tail from a kill mid-write
-            }
-            let line = chunk.trim();
-            if line.is_empty() {
-                good += chunk.len();
-                continue;
-            }
-            match serde_json::from_str::<ManifestLine>(line)
-                .ok()
-                .and_then(ManifestLine::into_entry)
-            {
-                Some((key, outcome)) => {
-                    entries.insert(key, outcome);
-                    good += chunk.len();
-                }
-                None => break, // corruption: drop it and everything after
-            }
-        }
-        if good < text.len() {
-            io.truncate(&path, good as u64)?;
-        }
-        let file = io.open_append(&path)?;
-        Ok(SweepManifest {
-            path,
-            resumed: entries.len(),
-            retry,
-            durability,
-            counters: Arc::new(IoCounters::default()),
-            state: Mutex::new(ManifestState {
-                file,
-                entries,
-                dirty: 0,
-            }),
-        })
-    }
-
-    /// Where the manifest lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// How many decided cells [`open`](Self::open) loaded — the cells a
-    /// resumed campaign will not re-simulate.
-    pub fn resumed(&self) -> usize {
-        self.resumed
-    }
-
-    /// Decided cells right now (resumed plus recorded).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("manifest lock").entries.len()
-    }
-
-    /// `true` when no cell has been decided.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The outcome recorded for a cell key, if any.
-    pub fn get(&self, key_text: &str) -> Option<CellOutcome> {
-        self.state
-            .lock()
-            .expect("manifest lock")
-            .entries
-            .get(key_text)
-            .cloned()
-    }
-
-    /// Every decided cell, sorted by key text — the same shape
-    /// `PackStore::decided_entries` reports, so `exp report` can fold
-    /// either source.
-    pub fn decided_entries(&self) -> Vec<(String, CellOutcome)> {
-        let mut out: Vec<(String, CellOutcome)> = self
-            .state
-            .lock()
-            .expect("manifest lock")
-            .entries
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    fn record(&self, key_text: &str, outcome: CellOutcome) -> std::io::Result<()> {
-        let line = match &outcome {
-            CellOutcome::Done(summary) => ManifestLine {
-                key: key_text.to_owned(),
-                status: "done".to_owned(),
-                summary: Some(summary.clone()),
-                failure: None,
-            },
-            CellOutcome::Quarantined(failure) => ManifestLine {
-                key: key_text.to_owned(),
-                status: "quarantined".to_owned(),
-                summary: None,
-                failure: Some(failure.clone()),
-            },
-        };
-        let json = serde_json::to_string(&line).map_err(std::io::Error::other)?;
-        let mut state = self.state.lock().expect("manifest lock");
-        // Appends retry transients on the deterministic schedule. A
-        // retry after a partial write can tear this line; the reopen
-        // discipline (drop from the first undecodable chunk) then
-        // recomputes exactly the cells at or after the tear.
-        let state_ref = &mut *state;
-        self.retry.run(&self.counters, || {
-            writeln!(state_ref.file, "{json}")?;
-            state_ref.file.flush()
-        })?;
-        match self.durability {
-            Durability::Record => {
-                if state.file.sync_all().is_err() {
-                    self.counters.note_sync_failure();
-                }
-            }
-            Durability::Batch => state.dirty += 1,
-            Durability::None => {}
-        }
-        state.entries.insert(key_text.to_owned(), outcome);
-        Ok(())
-    }
-
-    /// Durability barrier: when running at [`Durability::Batch`], syncs
-    /// any lines appended since the last barrier. A sync failure is
-    /// counted (`store.sync_failures`) but does not fail the campaign —
-    /// the lines are still queued with the kernel.
-    pub fn barrier(&self) {
-        if self.durability != Durability::Batch {
-            return;
-        }
-        let mut state = self.state.lock().expect("manifest lock");
-        if state.dirty == 0 {
-            return;
-        }
-        state.dirty = 0;
-        if state.file.sync_all().is_err() {
-            self.counters.note_sync_failure();
+/// The decided cells of a legacy JSONL manifest, sorted by key text.
+/// A torn, unparseable, or unknown-status line is skipped; a key
+/// decided twice keeps its last line, as the manifest itself did.
+pub fn parse_legacy_manifest(text: &str) -> Vec<(String, CellOutcome)> {
+    let mut cells = BTreeMap::new();
+    for line in text.lines() {
+        if let Some((key, outcome)) = serde_json::from_str::<ManifestLine>(line.trim())
+            .ok()
+            .and_then(ManifestLine::into_entry)
+        {
+            cells.insert(key, outcome);
         }
     }
-
-    /// Snapshot of this manifest's recovery accounting (retries taken,
-    /// sync failures).
-    pub fn io_health(&self) -> IoHealth {
-        self.counters.snapshot()
-    }
-
-    /// Checkpoints a cleanly decided cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns the IO error when the line cannot be appended; the
-    /// in-memory map is only updated on success, so a failed checkpoint
-    /// never claims durability it does not have.
-    pub fn record_done(&self, key_text: &str, summary: &TrialSummary) -> std::io::Result<()> {
-        self.record(key_text, CellOutcome::Done(summary.clone()))
-    }
-
-    /// Checkpoints a quarantined cell.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`record_done`](Self::record_done).
-    pub fn record_quarantined(&self, key_text: &str, failure: &CellFailure) -> std::io::Result<()> {
-        self.record(key_text, CellOutcome::Quarantined(failure.clone()))
-    }
+    cells.into_iter().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "harvest-manifest-test-{tag}-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("sweep.manifest.jsonl")
-    }
-
     fn summary(missed: u64) -> TrialSummary {
         TrialSummary {
             released: 10,
             completed_in_time: 10 - missed,
             missed,
-            sample_level_bits: Vec::new(),
+            sample_level_bits: vec![0.5f64.to_bits()],
         }
     }
 
-    fn failure() -> CellFailure {
-        CellFailure {
-            message: "injected panic".to_owned(),
-            panicked: true,
-            worker: 2,
-            flight: Some("target/flight/deadbeef.flight.jsonl".to_owned()),
-        }
+    fn done_line(key: &str, missed: u64) -> String {
+        format!(
+            "{{\"key\":\"{key}\",\"status\":\"done\",\"summary\":{},\"failure\":null}}",
+            serde_json::to_string(&summary(missed)).unwrap()
+        )
     }
 
     #[test]
-    fn records_resume_across_reopen() {
-        let path = scratch("resume");
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.resumed(), 0);
-        assert!(m.is_empty());
-        m.record_done("cell-a", &summary(1)).unwrap();
-        m.record_quarantined("cell-b", &failure()).unwrap();
-        assert_eq!(m.len(), 2);
-        drop(m);
-
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.resumed(), 2);
-        assert_eq!(m.get("cell-a"), Some(CellOutcome::Done(summary(1))));
+    fn legacy_manifest_lines_parse_and_bad_lines_are_skipped() {
+        let quarantined = "{\"key\":\"cell-b\",\"status\":\"quarantined\",\"summary\":null,\
+             \"failure\":{\"message\":\"injected panic\",\"panicked\":true,\"worker\":2,\
+             \"flight\":null}}";
+        let text = [
+            done_line("cell-a", 1),
+            quarantined.to_owned(),
+            "garbage not json".to_owned(),
+            "{\"key\":\"cell-x\",\"status\":\"pending\",\"summary\":null,\"failure\":null}"
+                .to_owned(),
+            done_line("cell-c", 0),
+            done_line("cell-a", 3),
+            String::new(),
+            // A kill mid-write tears the final line.
+            done_line("cell-d", 2)[..30].to_owned(),
+        ]
+        .join("\n");
+        let cells = parse_legacy_manifest(&text);
+        let keys: Vec<&str> = cells.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
-            m.get("cell-b"),
-            Some(CellOutcome::Quarantined(failure())),
-            "quarantined cells stay decided on resume"
+            keys,
+            ["cell-a", "cell-b", "cell-c"],
+            "sorted, bad lines gone"
         );
-        assert_eq!(m.get("cell-c"), None);
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_and_recomputes() {
-        let path = scratch("torn");
-        let m = SweepManifest::open(&path).unwrap();
-        m.record_done("cell-a", &summary(0)).unwrap();
-        m.record_done("cell-b", &summary(2)).unwrap();
-        drop(m);
-        // Simulate a kill mid-write: append half a line, no newline.
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"key\":\"cell-c\",\"status\":\"do");
-        std::fs::write(&path, &text).unwrap();
-
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.resumed(), 2, "good prefix survives");
-        assert_eq!(m.get("cell-c"), None, "torn cell recomputes");
-        // The torn bytes are gone: a new record appends cleanly.
-        m.record_done("cell-c", &summary(3)).unwrap();
-        drop(m);
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.resumed(), 3);
-        assert_eq!(m.get("cell-c"), Some(CellOutcome::Done(summary(3))));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn interior_corruption_drops_the_tail() {
-        let path = scratch("interior");
-        let m = SweepManifest::open(&path).unwrap();
-        m.record_done("cell-a", &summary(0)).unwrap();
-        m.record_done("cell-b", &summary(1)).unwrap();
-        m.record_done("cell-c", &summary(2)).unwrap();
-        drop(m);
-        // Corrupt the middle line.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        let mangled = format!("{}\ngarbage not json\n{}\n", lines[0], lines[2]);
-        std::fs::write(&path, mangled).unwrap();
-
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.resumed(), 1, "only the prefix before corruption");
-        assert!(m.get("cell-a").is_some());
-        assert_eq!(m.get("cell-c"), None, "post-corruption cells recompute");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn last_write_wins_on_duplicate_keys() {
-        let path = scratch("dup");
-        let m = SweepManifest::open(&path).unwrap();
-        m.record_quarantined("cell-a", &failure()).unwrap();
-        m.record_done("cell-a", &summary(4)).unwrap();
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get("cell-a"), Some(CellOutcome::Done(summary(4))));
-        drop(m);
-        let m = SweepManifest::open(&path).unwrap();
-        assert_eq!(m.get("cell-a"), Some(CellOutcome::Done(summary(4))));
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        assert_eq!(cells[0].1, CellOutcome::Done(summary(3)), "last line wins");
+        match &cells[1].1 {
+            CellOutcome::Quarantined(f) => {
+                assert!(f.panicked);
+                assert_eq!((f.worker, f.message.as_str()), (2, "injected panic"));
+            }
+            other => panic!("quarantine lost: {other:?}"),
+        }
+        assert_eq!(cells[2].1, CellOutcome::Done(summary(0)));
     }
 }

@@ -583,10 +583,9 @@ impl PaperScenario {
 
     /// Runs one trial through a worker's pool, consulting `store`
     /// first: a verified store hit skips the simulation entirely, and a
-    /// miss is simulated pooled and written back. Accepts any
-    /// [`TrialStore`](crate::store::TrialStore) backend — the per-file
-    /// [`SweepCache`](crate::cache::SweepCache) or the pack-file
-    /// [`PackStore`](crate::store::PackStore).
+    /// miss is simulated pooled and written back through the
+    /// [`TrialStore`](crate::store::TrialStore) surface of the
+    /// pack-file [`PackStore`](crate::store::PackStore).
     pub fn run_summary(
         &self,
         pool: &mut SimPool,

@@ -1,9 +1,8 @@
 //! Pack-file sweep store: segment-packed trial results with batch probes.
 //!
-//! The per-file cache ([`crate::cache::SweepCache`]) spends one `open(2)`
-//! plus a full JSON parse per warm cell — ~7.9 µs, which BENCH_PR6 showed
-//! is slower than *simulating* a cell through the batched engine. This
-//! module replaces the per-cell files with append-only **segment packs**:
+//! The one persistence backend of the evaluation: trial cache for every
+//! figure driver and resume checkpoint for fault campaigns. Results
+//! live in append-only **segment packs**:
 //! each writer owns an exclusive pack file of length-prefixed,
 //! FNV-checksummed records (canonical key text + compact binary
 //! [`TrialSummary`]). On open every pack is read into memory once and the
@@ -12,16 +11,14 @@
 //! size — and the batch probe API ([`TrialStore::probe_many`]) resolves a
 //! whole figure grid in one pass.
 //!
-//! Integrity rules carry over from [`crate::cache`] and
-//! [`crate::manifest`]:
+//! Integrity rules:
 //!
-//! * Every record stores the **canonical key text**, and every hit
-//!   re-verifies it, so a fingerprint collision or poisoned pack can
-//!   never substitute a foreign result.
+//! * Every record stores the **canonical key text**
+//!   ([`TrialKey`]), and every hit re-verifies it, so a fingerprint
+//!   collision or poisoned pack can never substitute a foreign result.
 //! * A kill mid-append leaves a torn final record. [`PackStore::open`]
-//!   tolerates that with the [`SweepManifest`](crate::manifest::SweepManifest)
-//!   discipline: the pack is scanned record-by-record, the damaged tail
-//!   is truncated away, and its cells recompute.
+//!   tolerates that: the pack is scanned record-by-record, the damaged
+//!   tail is truncated away, and its cells recompute.
 //! * A sidecar index (`*.idx`) caches `(fingerprint, offset, kind)`
 //!   entries for a checksummed prefix of its pack; open trusts a valid
 //!   sidecar for that prefix and scans only the tail appended after it.
@@ -60,6 +57,12 @@
 //!   mid-pack corruption, quarantines the corrupt spans into
 //!   `scrub-quarantine/`, and rewrites a clean store — the warm path
 //!   then re-simulates exactly the lost cells.
+//!
+//! Results from the two retired backends — a per-file JSON cache
+//! directory or a JSONL campaign manifest — enter a store only through
+//! the explicit one-shot [`PackStore::import`] (`exp store import`);
+//! opening a store never reads or writes anything outside its own
+//! directory.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -72,23 +75,18 @@ use harvest_obs::io::{
     StoreIo,
 };
 
-use crate::cache::{fnv1a64, CacheStats, SweepCache, TrialKey, TrialSummary};
-use crate::manifest::{CellOutcome, SweepManifest};
+use crate::cache::{fnv1a64, CacheStats, TrialKey, TrialSummary};
+use crate::manifest::{parse_legacy_manifest, CellOutcome};
 use crate::parallel::CellFailure;
 
 /// Environment variable gating the pack store (read by
 /// [`store_from_env`]): unset, empty, or `0` disables; `1` enables at
 /// the default `target/sweep-store/`; any other value is used as the
-/// store directory path. Takes precedence over
-/// [`SWEEP_CACHE_ENV`](crate::cache::SWEEP_CACHE_ENV).
+/// store directory path.
 pub const SWEEP_STORE_ENV: &str = "HARVEST_SWEEP_STORE";
 
 /// Default store root used when [`SWEEP_STORE_ENV`] is `1`.
 pub const DEFAULT_STORE_DIR: &str = "target/sweep-store";
-
-/// Default legacy per-file cache root ingested by the one-time
-/// migration (see [`PackStore::migrate_legacy`]).
-pub const DEFAULT_LEGACY_CACHE_DIR: &str = "target/sweep-cache";
 
 /// Pack file magic + format version ("harvest pack, v1").
 const PACK_MAGIC: [u8; 8] = *b"HPK1\x01\0\0\0";
@@ -102,27 +100,21 @@ const KIND_QUARANTINED: u8 = 2;
 /// the retained file descriptors: a store holds at most this many fds
 /// open, no matter how many cells it writes.
 pub const WRITER_SLOTS: usize = 8;
-/// Marker file recording that the legacy per-file cache was already
-/// ingested, making migration one-time.
-const LEGACY_MARKER: &str = "legacy-ingested";
 
 // ---------------------------------------------------------------------------
 // Store traits
 // ---------------------------------------------------------------------------
 
-/// The cache-facing read/write surface shared by the per-file
-/// [`SweepCache`] and the pack-file [`PackStore`], so figure drivers run
-/// unchanged against either backend.
+/// The cache-facing read/write surface of a trial store: what the
+/// figure drivers need to skip already-simulated cells. Implemented by
+/// [`PackStore`].
 pub trait TrialStore: Sync {
     /// Looks one key up; integrity-rejected entries answer `None`.
     fn probe(&self, key: &TrialKey) -> Option<TrialSummary>;
 
-    /// Resolves a whole grid of keys in one pass. The default forwards
-    /// to [`probe`](Self::probe) per key; [`PackStore`] answers the
-    /// batch under a single map lock with zero per-cell syscalls.
-    fn probe_many(&self, keys: &[TrialKey]) -> Vec<Option<TrialSummary>> {
-        keys.iter().map(|k| self.probe(k)).collect()
-    }
+    /// Resolves a whole grid of keys in one pass; [`PackStore`] answers
+    /// the batch under a single map lock with zero per-cell syscalls.
+    fn probe_many(&self, keys: &[TrialKey]) -> Vec<Option<TrialSummary>>;
 
     /// Persists one decided cell. Never fails the run: IO errors degrade
     /// the store to read-only with one warning.
@@ -135,53 +127,23 @@ pub trait TrialStore: Sync {
     fn location(&self) -> &Path;
 
     /// Durability barrier: flush and sync everything appended since the
-    /// last barrier. Campaign drivers call this at batch checkpoints;
-    /// the default is a no-op for backends with nothing buffered.
-    fn barrier(&self) {}
+    /// last barrier. Campaign drivers call this at batch checkpoints.
+    fn barrier(&self);
 
-    /// Retry/degradation/sync accounting for this backend. Defaults to
-    /// a clean snapshot for backends without an I/O seam.
-    fn io_health(&self) -> IoHealth {
-        IoHealth::default()
-    }
+    /// Retry/degradation/sync accounting for this store.
+    fn io_health(&self) -> IoHealth;
 
-    /// Re-probe a degraded backend: a store that degraded to read-only
+    /// Re-probe a degraded store: a store that degraded to read-only
     /// in an earlier campaign re-arms its write path so the next
     /// campaign retries the directory (the disk may have recovered).
-    /// No-op by default and on healthy stores.
-    fn reprobe(&self) {}
+    /// No-op on healthy stores.
+    fn reprobe(&self);
 }
 
-impl TrialStore for SweepCache {
-    fn probe(&self, key: &TrialKey) -> Option<TrialSummary> {
-        self.get(key)
-    }
-
-    fn store(&self, key: &TrialKey, summary: &TrialSummary) {
-        self.put(key, summary);
-    }
-
-    fn stats(&self) -> CacheStats {
-        SweepCache::stats(self)
-    }
-
-    fn location(&self) -> &Path {
-        self.dir()
-    }
-
-    fn io_health(&self) -> IoHealth {
-        SweepCache::io_health(self)
-    }
-
-    fn reprobe(&self) {
-        SweepCache::reprobe(self);
-    }
-}
-
-/// The manifest-facing surface of a decided-cell store: what a
-/// fault-sweep campaign needs to checkpoint and resume. Implemented by
-/// the JSONL [`SweepManifest`] and by [`PackStore`] (whose `decided`
-/// records unify resume and cache into one read path).
+/// The checkpoint surface of a decided-cell store: what a fault-sweep
+/// campaign needs to checkpoint and resume. Implemented by
+/// [`PackStore`], whose decided records unify resume and cache into
+/// one read path.
 pub trait DecidedStore: Sync {
     /// The outcome already decided for `key`, if any.
     fn decided(&self, key: &TrialKey) -> Option<CellOutcome>;
@@ -207,38 +169,10 @@ pub trait DecidedStore: Sync {
 
     /// Durability barrier: sync every record checkpointed since the
     /// last barrier (see [`TrialStore::barrier`]).
-    fn barrier(&self) {}
+    fn barrier(&self);
 
     /// Retry/degradation/sync accounting (see [`TrialStore::io_health`]).
-    fn io_health(&self) -> IoHealth {
-        IoHealth::default()
-    }
-}
-
-impl DecidedStore for SweepManifest {
-    fn decided(&self, key: &TrialKey) -> Option<CellOutcome> {
-        self.get(key.text())
-    }
-
-    fn record_done(&self, key: &TrialKey, summary: &TrialSummary) -> std::io::Result<()> {
-        SweepManifest::record_done(self, key.text(), summary)
-    }
-
-    fn record_quarantined(&self, key: &TrialKey, failure: &CellFailure) -> std::io::Result<()> {
-        SweepManifest::record_quarantined(self, key.text(), failure)
-    }
-
-    fn resumed(&self) -> usize {
-        SweepManifest::resumed(self)
-    }
-
-    fn barrier(&self) {
-        SweepManifest::barrier(self);
-    }
-
-    fn io_health(&self) -> IoHealth {
-        SweepManifest::io_health(self)
-    }
+    fn io_health(&self) -> IoHealth;
 }
 
 // ---------------------------------------------------------------------------
@@ -1153,52 +1087,31 @@ impl PackStore {
         }
     }
 
-    /// One-time ingest of a legacy per-file cache directory
-    /// (`*.json` [`SweepCache`] entries) into this store. Each entry is
-    /// verified (parseable, fingerprint matches its stored key text)
-    /// before it is appended; already-present keys are skipped. A marker
-    /// file makes the migration one-time; a missing legacy directory is
-    /// a no-op.
+    /// Imports results from a retired backend into this store: `from`
+    /// is either a legacy per-file cache directory (one
+    /// `<fingerprint>.json` file of `{key, summary}` per cell; an entry
+    /// whose name is not the fingerprint of its key text is skipped as
+    /// poisoned) or a legacy JSONL campaign manifest (see
+    /// [`parse_legacy_manifest`]). The source is only read. Keys the
+    /// store already holds are skipped, so re-running an import adds
+    /// nothing.
     ///
-    /// Returns how many cells were ingested.
+    /// Returns how many records were appended.
     ///
     /// # Errors
     ///
-    /// Returns the IO error when an ingest append fails (the marker is
-    /// then not written, so a later run retries).
-    pub fn migrate_legacy(&self, legacy_dir: impl AsRef<Path>) -> std::io::Result<usize> {
-        let legacy_dir = legacy_dir.as_ref();
-        let marker = self.dir.join(LEGACY_MARKER);
-        if marker.exists() || !legacy_dir.is_dir() {
-            return Ok(0);
-        }
-        #[derive(serde::Deserialize)]
-        struct LegacyEntry {
-            key: String,
-            summary: TrialSummary,
-        }
-        let mut paths: Vec<PathBuf> = std::fs::read_dir(legacy_dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        paths.sort();
-        let mut ingested = 0usize;
-        for path in paths {
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(entry) = serde_json::from_str::<LegacyEntry>(&text) else {
-                continue;
-            };
-            let fingerprint = fnv1a64(entry.key.as_bytes());
-            let named: Option<u64> = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .and_then(|s| u64::from_str_radix(s, 16).ok());
-            if named != Some(fingerprint) {
-                continue; // poisoned or foreign entry: never ingest
-            }
+    /// Returns the IO error when `from` cannot be read or an append
+    /// fails; records appended before the failure stay.
+    pub fn import(&self, from: impl AsRef<Path>) -> std::io::Result<usize> {
+        let from = from.as_ref();
+        let cells = if from.is_dir() {
+            legacy_cache_cells(from)?
+        } else {
+            parse_legacy_manifest(&String::from_utf8_lossy(&std::fs::read(from)?))
+        };
+        let mut imported = 0usize;
+        for (key_text, outcome) in cells {
+            let fingerprint = fnv1a64(key_text.as_bytes());
             let already = {
                 let inner = self.inner.read().expect("store lock");
                 inner.index.contains_key(&fingerprint)
@@ -1206,22 +1119,14 @@ impl PackStore {
             if already {
                 continue;
             }
-            self.append_done_text(&entry.key, &entry.summary)?;
-            ingested += 1;
+            let (kind, payload) = match &outcome {
+                CellOutcome::Done(summary) => (KIND_DONE, encode_summary(summary)),
+                CellOutcome::Quarantined(failure) => (KIND_QUARANTINED, encode_failure(failure)),
+            };
+            self.append_raw(kind, &key_text, fingerprint, &payload)?;
+            imported += 1;
         }
-        std::fs::write(&marker, b"migrated\n")?;
-        Ok(ingested)
-    }
-
-    /// Appends a done record for a key known only by text (migration
-    /// path — the key predates this process).
-    fn append_done_text(&self, key_text: &str, summary: &TrialSummary) -> std::io::Result<()> {
-        self.append_raw(
-            KIND_DONE,
-            key_text,
-            fnv1a64(key_text.as_bytes()),
-            &encode_summary(summary),
-        )
+        Ok(imported)
     }
 
     /// Summarizes the store rooted at `dir` without holding it open.
@@ -1537,6 +1442,38 @@ impl PackStore {
     }
 }
 
+/// The verified entries of a legacy per-file cache directory — one
+/// `<fingerprint>.json` file of `{key, summary}` per cell — in file-name
+/// order. An unreadable or unparseable entry, or one whose file name is
+/// not the fingerprint of its stored key text (poisoned or foreign), is
+/// skipped.
+fn legacy_cache_cells(dir: &Path) -> std::io::Result<Vec<(String, CellOutcome)>> {
+    #[derive(serde::Deserialize)]
+    struct LegacyEntry {
+        key: String,
+        summary: TrialSummary,
+    }
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    paths.sort();
+    Ok(paths
+        .into_iter()
+        .filter_map(|path| {
+            let text = std::fs::read_to_string(&path).ok()?;
+            let entry = serde_json::from_str::<LegacyEntry>(&text).ok()?;
+            let named = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|s| u64::from_str_radix(s, 16).ok());
+            (named == Some(fnv1a64(entry.key.as_bytes())))
+                .then_some((entry.key, CellOutcome::Done(entry.summary)))
+        })
+        .collect())
+}
+
 /// Crash-consistent publish of `bytes` at `path`: write `path.tmp`,
 /// flush + `sync_all`, then rename over the live name.
 fn write_synced_then_rename(io: &dyn StoreIo, path: &Path, bytes: &[u8]) -> std::io::Result<()> {
@@ -1687,59 +1624,53 @@ impl Drop for PackStore {
     }
 }
 
-/// Builds whatever trial store the environment asks for:
-/// [`SWEEP_STORE_ENV`] (pack store, with one-time legacy-cache
-/// migration from [`DEFAULT_LEGACY_CACHE_DIR`]) takes precedence over
-/// [`SWEEP_CACHE_ENV`](crate::cache::SWEEP_CACHE_ENV) (per-file cache).
-/// `None` when both are unset or
-/// disabled. An unopenable store directory degrades exactly like the
-/// cache: a warning on stderr, then the sweep runs unstored. The
-/// warning fires on each healthy→failing *transition* (not once per
-/// process), so a campaign after the directory is fixed re-probes and
-/// a later regression warns again.
+/// Builds the trial store the environment asks for through
+/// [`SWEEP_STORE_ENV`]; `None` when it is unset or disabled. An
+/// unopenable store directory degrades gracefully: a warning on
+/// stderr, then the sweep runs unstored — a sweep must not fail
+/// because its store is unavailable. The warning fires on each
+/// healthy→failing *transition* (not once per process), so a campaign
+/// after the directory is fixed re-probes and a later regression warns
+/// again.
 pub fn store_from_env() -> Option<Box<dyn TrialStore>> {
-    if let Ok(raw) = std::env::var(SWEEP_STORE_ENV) {
-        let raw = raw.trim();
-        if !raw.is_empty() && raw != "0" {
-            let dir = if raw == "1" {
-                PathBuf::from(DEFAULT_STORE_DIR)
-            } else {
-                PathBuf::from(raw)
-            };
-            // Tracks whether the last open attempt failed, so the
-            // warning fires on transitions instead of once-ever.
-            static FAILING: AtomicBool = AtomicBool::new(false);
-            return match PackStore::open(&dir) {
-                Ok(store) => {
-                    if FAILING.swap(false, Ordering::Relaxed) {
-                        eprintln!(
-                            "note: sweep store at {} is reachable again; storing resumed",
-                            dir.display()
-                        );
-                    }
-                    let _ = store.migrate_legacy(DEFAULT_LEGACY_CACHE_DIR);
-                    Some(Box::new(store))
-                }
-                Err(e) => {
-                    if !FAILING.swap(true, Ordering::Relaxed) {
-                        eprintln!(
-                            "warning: cannot open sweep store at {} ({e}); running uncached",
-                            dir.display()
-                        );
-                    }
-                    None
-                }
-            };
-        }
+    let raw = std::env::var(SWEEP_STORE_ENV).ok()?;
+    let raw = raw.trim();
+    if raw.is_empty() || raw == "0" {
         return None;
     }
-    SweepCache::from_env().map(|c| Box::new(c) as Box<dyn TrialStore>)
+    let dir = if raw == "1" {
+        PathBuf::from(DEFAULT_STORE_DIR)
+    } else {
+        PathBuf::from(raw)
+    };
+    // Tracks whether the last open attempt failed, so the warning
+    // fires on transitions instead of once-ever.
+    static FAILING: AtomicBool = AtomicBool::new(false);
+    match PackStore::open(&dir) {
+        Ok(store) => {
+            if FAILING.swap(false, Ordering::Relaxed) {
+                eprintln!(
+                    "note: sweep store at {} is reachable again; storing resumed",
+                    dir.display()
+                );
+            }
+            Some(Box::new(store))
+        }
+        Err(e) => {
+            if !FAILING.swap(true, Ordering::Relaxed) {
+                eprintln!(
+                    "warning: cannot open sweep store at {} ({e}); running uncached",
+                    dir.display()
+                );
+            }
+            None
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SWEEP_CACHE_ENV;
     use crate::scenario::{PaperScenario, PolicyKind};
 
     fn scratch_dir(tag: &str) -> PathBuf {
@@ -2064,98 +1995,110 @@ mod tests {
     }
 
     #[test]
-    fn legacy_cache_migrates_once_bit_identically() {
-        let legacy = scratch_dir("legacy-src");
-        let dir = scratch_dir("legacy-dst");
-        let cache = SweepCache::new(&legacy).unwrap();
-        for seed in 0..4 {
-            cache.put(&key(seed), &summary(seed));
-        }
-        // Poisoned legacy entry: wrong name for its key text.
+    fn import_ingests_legacy_cache_and_manifest_once_bit_identically() {
         #[derive(serde::Serialize)]
         struct Entry {
             key: String,
             summary: TrialSummary,
         }
-        std::fs::write(
-            legacy.join("00000000deadbeef.json"),
+        let entry = |seed: u64| {
             serde_json::to_string(&Entry {
-                key: key(7).text().to_owned(),
-                summary: summary(0),
+                key: key(seed).text().to_owned(),
+                summary: summary(seed),
             })
-            .unwrap(),
-        )
-        .unwrap();
-
-        let store = PackStore::open(&dir).unwrap();
-        assert_eq!(store.migrate_legacy(&legacy).unwrap(), 4);
+            .unwrap()
+        };
+        let legacy = scratch_dir("legacy-src");
+        std::fs::create_dir_all(&legacy).unwrap();
         for seed in 0..4 {
+            let name = format!("{:016x}.json", key(seed).fingerprint());
+            std::fs::write(legacy.join(name), entry(seed)).unwrap();
+        }
+        // Poisoned legacy entry: wrong name for its key text.
+        std::fs::write(legacy.join("00000000deadbeef.json"), entry(7)).unwrap();
+        // A manifest re-deciding seed 0 (already imported from the
+        // cache), a quarantine, a fresh done cell, and a torn tail.
+        let manifest = legacy.with_extension("jsonl");
+        let line = |seed: u64, status: &str| {
+            let (summary, failure) = match status {
+                "done" => (
+                    serde_json::to_string(&summary(seed)).unwrap(),
+                    "null".into(),
+                ),
+                _ => ("null".into(), serde_json::to_string(&failure()).unwrap()),
+            };
+            format!(
+                "{{\"key\":{},\"status\":\"{status}\",\"summary\":{summary},\"failure\":{failure}}}\n",
+                serde_json::to_string(key(seed).text()).unwrap()
+            )
+        };
+        let text = [line(0, "done"), line(5, "quarantined"), line(6, "done")].concat();
+        std::fs::write(&manifest, format!("{text}{}", &line(8, "done")[..20])).unwrap();
+
+        let dir = scratch_dir("legacy-dst");
+        let store = PackStore::open(&dir).unwrap();
+        assert_eq!(store.import(&legacy).unwrap(), 4);
+        assert_eq!(
+            store.import(&manifest).unwrap(),
+            2,
+            "seed 0 is already held"
+        );
+        for seed in (0..4).chain([6]) {
             assert_eq!(
                 store.probe(&key(seed)),
                 Some(summary(seed)),
-                "migrated cell is byte-identical"
+                "imported cell is byte-identical"
             );
         }
-        assert_eq!(store.probe(&key(7)), None, "poisoned entry not ingested");
-        // One-time: a second call is a no-op even with new legacy cells.
-        cache.put(&key(9), &summary(9));
-        assert_eq!(store.migrate_legacy(&legacy).unwrap(), 0);
-        assert_eq!(store.probe(&key(9)), None);
+        assert_eq!(
+            store.decided(&key(5)),
+            Some(CellOutcome::Quarantined(failure()))
+        );
+        assert_eq!(store.probe(&key(7)), None, "poisoned entry not imported");
+        assert_eq!(store.probe(&key(8)), None, "torn line not imported");
+        // Idempotent: a second pass over either source adds nothing.
+        assert_eq!(store.import(&legacy).unwrap(), 0);
+        assert_eq!(store.import(&manifest).unwrap(), 0);
+        assert_eq!(store.len(), 6);
+        assert!(store.import(legacy.join("missing.jsonl")).is_err());
+        drop(store);
+        assert_eq!(PackStore::open(&dir).unwrap().len(), 6, "imports persist");
         let _ = std::fs::remove_dir_all(&legacy);
+        let _ = std::fs::remove_file(&manifest);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn store_from_env_precedence_and_degradation() {
+    fn store_from_env_gating_and_degradation() {
         use crate::test_support::with_env;
         let dir = scratch_dir("env");
         let dir_str = dir.to_str().unwrap().to_owned();
-        with_env(&[(SWEEP_STORE_ENV, None), (SWEEP_CACHE_ENV, None)], || {
+        with_env(&[(SWEEP_STORE_ENV, None)], || {
             assert!(store_from_env().is_none())
         });
-        with_env(
-            &[(SWEEP_STORE_ENV, Some("0")), (SWEEP_CACHE_ENV, None)],
-            || assert!(store_from_env().is_none()),
-        );
-        with_env(
-            &[
-                (SWEEP_STORE_ENV, Some(dir_str.as_str())),
-                (SWEEP_CACHE_ENV, None),
-            ],
-            || {
-                let store = store_from_env().expect("explicit dir enables the store");
-                assert_eq!(store.location(), dir.as_path());
-            },
-        );
-        // Store env wins over cache env.
-        with_env(
-            &[
-                (SWEEP_STORE_ENV, Some(dir_str.as_str())),
-                (SWEEP_CACHE_ENV, Some("1")),
-            ],
-            || {
-                let store = store_from_env().expect("store env wins");
-                assert_eq!(store.location(), dir.as_path());
-            },
-        );
-        // Unopenable store dir (file standing where the dir must go, as
-        // in the cache test — root ignores permission bits): degrade.
+        with_env(&[(SWEEP_STORE_ENV, Some("0"))], || {
+            assert!(store_from_env().is_none())
+        });
+        with_env(&[(SWEEP_STORE_ENV, Some(""))], || {
+            assert!(store_from_env().is_none())
+        });
+        with_env(&[(SWEEP_STORE_ENV, Some(dir_str.as_str()))], || {
+            let store = store_from_env().expect("explicit dir enables the store");
+            assert_eq!(store.location(), dir.as_path());
+        });
+        // Unopenable store dir: a file standing where the dir must go
+        // (root ignores permission bits, so `create_dir_all` on
+        // `<file>/sub` is the unwritable case for any uid) — degrade.
         let blocker = scratch_dir("env-blocker");
         std::fs::write(&blocker, b"not a directory").unwrap();
         let blocked = blocker.join("sub");
         let blocked_str = blocked.to_str().unwrap().to_owned();
-        with_env(
-            &[
-                (SWEEP_STORE_ENV, Some(blocked_str.as_str())),
-                (SWEEP_CACHE_ENV, None),
-            ],
-            || {
-                assert!(
-                    store_from_env().is_none(),
-                    "an unopenable store dir must disable storing, not fail"
-                );
-            },
-        );
+        with_env(&[(SWEEP_STORE_ENV, Some(blocked_str.as_str()))], || {
+            assert!(
+                store_from_env().is_none(),
+                "an unopenable store dir must disable storing, not fail"
+            );
+        });
         let _ = std::fs::remove_file(&blocker);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,6 +1,7 @@
 //! End-to-end fault-campaign coverage (ISSUE 5): the pinned robustness
 //! figure, quarantine behaviour through the real `exp fault-sweep`
-//! subcommand, and kill-and-resume through the on-disk manifest.
+//! subcommand, and kill-and-resume through the pack store's decided
+//! records.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -50,9 +51,9 @@ fn cli_args() -> Vec<&'static str> {
 
 fn exp_command() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
-    // The subcommand falls back to the environment cache; keep the test
+    // The subcommand falls back to the environment store; keep the test
     // hermetic regardless of the invoking shell.
-    cmd.env_remove("HARVEST_SWEEP_CACHE");
+    cmd.env_remove("HARVEST_SWEEP_STORE");
     cmd
 }
 
@@ -143,14 +144,14 @@ fn fault_sweep_subcommand_quarantines_sabotaged_cells_and_exits_zero() {
 }
 
 #[test]
-fn fault_sweep_subcommand_resumes_from_a_torn_manifest() {
+fn fault_sweep_subcommand_resumes_from_a_torn_pack_record() {
     let dir = scratch_dir("fault-campaign-resume");
-    let manifest = dir.join("campaign.manifest.jsonl");
-    let manifest_str = manifest.to_str().unwrap();
+    let store = dir.join("store");
+    let store_str = store.to_str().unwrap();
 
     let out = exp_command()
         .args(cli_args())
-        .args(["--manifest", manifest_str])
+        .args(["--store", store_str])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -162,22 +163,25 @@ fn fault_sweep_subcommand_resumes_from_a_torn_manifest() {
     assert_eq!(field(first_line, "simulated"), "18");
     let first_digest = field(first_line, "figure_fnv64").to_owned();
 
-    // Simulate a kill mid-write: drop the last checkpoint line and leave
-    // a torn half-line behind.
-    let text = std::fs::read_to_string(&manifest).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 18);
-    let torn = format!(
-        "{}\n{}",
-        lines[..17].join("\n"),
-        &lines[17][..lines[17].len() / 2]
-    );
-    std::fs::write(&manifest, torn).unwrap();
+    // Simulate a kill mid-append: cut the last record of one pack short,
+    // leaving a torn half-record behind.
+    let pack = std::fs::read_dir(&store)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "hpk"))
+        .expect("the campaign wrote a pack");
+    let len = std::fs::metadata(&pack).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&pack)
+        .unwrap()
+        .set_len(len - 20)
+        .unwrap();
 
     // The resumed campaign re-simulates only the lost cell.
     let out = exp_command()
         .args(cli_args())
-        .args(["--manifest", manifest_str])
+        .args(["--store", store_str])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -194,7 +198,7 @@ fn fault_sweep_subcommand_resumes_from_a_torn_manifest() {
     // binary itself enforce that nothing re-simulates.
     let out = exp_command()
         .args(cli_args())
-        .args(["--manifest", manifest_str, "--expect-resumed"])
+        .args(["--store", store_str, "--expect-resumed"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{out:?}");

@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use harvest_exp::cache::{SweepCache, TrialKey, TrialSummary};
-use harvest_exp::manifest::{CellOutcome, SweepManifest};
+use harvest_exp::cache::{TrialKey, TrialSummary};
 use harvest_exp::scenario::{PaperScenario, PolicyKind};
 use harvest_exp::store::{DecidedStore, PackStore, TrialStore};
 use harvest_obs::io::{Durability, FaultyIo, RetryPolicy, WriteFault};
@@ -271,72 +270,6 @@ proptest! {
         prop_assert_eq!(reopened.len(), stored_ok.len());
         for &s in &stored_ok {
             prop_assert_eq!(reopened.probe(&key_of(s)), Some(summary_of(s, &bits)));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The JSONL manifest under random schedules: reopening with a
-    /// clean backend never fails, and every decided cell it serves is
-    /// one that was recorded, bit-identical — a torn line costs its
-    /// suffix (those cells recompute) but never garbles an outcome.
-    #[test]
-    fn seeded_schedules_never_garble_the_manifest(
-        seed in any::<u64>(),
-        density in 20u64..300,
-        records in 2u64..6,
-        bits in proptest::collection::vec(any::<u64>(), 0..3),
-    ) {
-        let dir = scratch_dir("manifest", seed ^ (density << 16));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.jsonl");
-        let io = FaultyIo::seeded(seed, 64, density);
-        {
-            let manifest = SweepManifest::open_with(
-                &path,
-                Arc::new(io),
-                fast_retry(),
-                Durability::Batch,
-            ).unwrap();
-            for s in 0..records {
-                let _ = manifest.record_done(key_of(s).text(), &summary_of(s, &bits));
-            }
-            manifest.barrier();
-        }
-        let reopened = SweepManifest::open(&path).unwrap();
-        for (key, outcome) in reopened.decided_entries() {
-            let seed: u64 = key.rsplit('|').next().unwrap().parse().unwrap();
-            match outcome {
-                CellOutcome::Done(got) => prop_assert_eq!(got, summary_of(seed, &bits)),
-                other => prop_assert!(false, "garbled outcome: {:?}", other),
-            }
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The per-file cache under random schedules: an entry is either
-    /// absent (its tmp-file write or rename failed and the cell
-    /// recomputes) or exact — tmp-then-rename never publishes a
-    /// partial entry.
-    #[test]
-    fn seeded_schedules_never_publish_a_partial_cache_entry(
-        seed in any::<u64>(),
-        density in 20u64..300,
-        records in 2u64..6,
-        bits in proptest::collection::vec(any::<u64>(), 0..3),
-    ) {
-        let dir = scratch_dir("cache", seed ^ (density << 8));
-        let io = FaultyIo::seeded(seed, 64, density);
-        {
-            let cache = SweepCache::new_with(&dir, Arc::new(io), fast_retry()).unwrap();
-            for s in 0..records {
-                cache.put(&key_of(s), &summary_of(s, &bits));
-            }
-        }
-        let reopened = SweepCache::new(&dir).unwrap();
-        for s in 0..records {
-            if let Some(got) = reopened.get(&key_of(s)) {
-                prop_assert_eq!(got, summary_of(s, &bits));
-            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -3,12 +3,18 @@
 //! digest with zero simulated cells, an unopenable `HARVEST_SWEEP_STORE`
 //! degrades to an uncached run with one warning (exit 0), a fault-sweep
 //! resumed through `--store` re-simulates nothing (the pack's decided
-//! records serve both the cache and manifest roles), and the
+//! records serve both the cache and manifest roles), the
 //! `store stat` / `store compact` subcommands round-trip a store
-//! directory without disturbing its contents.
+//! directory without disturbing its contents, `store import` brings
+//! legacy cache directories and manifests in exactly once, and
+//! `report` never writes to the store it reads.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+
+use harvest_exp::cache::{fnv1a64, TrialSummary};
+use harvest_exp::manifest::CellOutcome;
+use harvest_exp::store::PackStore;
 
 fn exp() -> Command {
     Command::new(env!("CARGO_BIN_EXE_exp"))
@@ -158,8 +164,8 @@ fn fault_sweep_resumes_through_the_store_alone() {
     assert_eq!(field(&cold, "resumed"), "0");
     let digest = field(&cold, "figure_fnv64");
 
-    // No --manifest: the pack's decided records alone must resume the
-    // campaign, and resolution must count as resumed, not cached.
+    // The pack's decided records alone must resume the campaign, and
+    // resolution must count as resumed, not cached.
     let resumed = run(exp().args(args(&["--expect-resumed"])));
     assert!(resumed.status.success(), "{}", stderr(&resumed));
     assert_eq!(field(&resumed, "simulated"), "0");
@@ -218,36 +224,208 @@ fn store_stat_and_compact_report_the_directory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn store_and_cache_flags_are_mutually_exclusive() {
-    for sub in ["sweep", "fault-sweep"] {
-        let out = run(exp().args([sub, "--store", "/tmp/a", "--cache", "/tmp/b"]));
-        assert_eq!(out.status.code(), Some(2), "usage error must exit 2");
-        assert!(
-            stderr(&out).contains("mutually exclusive"),
-            "{}",
-            stderr(&out)
-        );
-    }
-}
-
-/// The batch-width and batch-grouping flags are gone: passing one is a
-/// usage error, not a silently ignored option.
+/// The batch-width and batch-grouping flags and the retired cache and
+/// manifest backends' flags are gone: passing one is a usage error, not
+/// a silently ignored option.
 #[test]
 fn removed_batch_flags_are_rejected() {
     for args in [
         ["sweep", "--batch", "8"],
         ["sweep", "--batch-group", "policy"],
         ["fault-sweep", "--batch", "4"],
+        ["sweep", "--cache", "/tmp/sweep-cache"],
+        ["fault-sweep", "--cache", "/tmp/sweep-cache"],
+        ["fault-sweep", "--manifest", "/tmp/campaign.jsonl"],
+        ["report", "--manifest", "/tmp/campaign.jsonl"],
     ] {
         let out = run(exp().args(args));
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
         assert!(
             stderr(&out).contains("unknown flag"),
             "{args:?}: {}",
             stderr(&out)
         );
     }
+}
+
+/// Writes `cells` as a legacy per-file cache directory: one
+/// `<fingerprint>.json` file of `{key, summary}` per done cell.
+fn write_legacy_cache(dir: &Path, cells: &[(String, CellOutcome)]) {
+    std::fs::create_dir_all(dir).unwrap();
+    for (key, outcome) in cells {
+        let CellOutcome::Done(summary) = outcome else {
+            panic!("legacy caches hold done cells only");
+        };
+        let entry = format!(
+            "{{\"key\":{},\"summary\":{}}}",
+            serde_json::to_string(key).unwrap(),
+            serde_json::to_string(summary).unwrap()
+        );
+        let name = format!("{:016x}.json", fnv1a64(key.as_bytes()));
+        std::fs::write(dir.join(name), entry).unwrap();
+    }
+}
+
+/// One legacy JSONL manifest line for a done cell.
+fn manifest_line(key: &str, summary: &TrialSummary) -> String {
+    format!(
+        "{{\"key\":{},\"status\":\"done\",\"summary\":{},\"failure\":null}}\n",
+        serde_json::to_string(key).unwrap(),
+        serde_json::to_string(summary).unwrap()
+    )
+}
+
+/// Every file in `dir` with its size, sorted by name.
+fn listing(dir: &Path) -> Vec<(String, u64)> {
+    let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, e.metadata().unwrap().len())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `report --store` only reads. Run from a directory holding a legacy
+/// per-file cache at the old default location (`target/sweep-cache`),
+/// it must leave the store directory exactly as it found it.
+#[test]
+fn report_does_not_write_to_the_store() {
+    let root = scratch_dir("report-readonly");
+    let sweep_into = |store: &Path| {
+        run(exp().args([
+            "sweep",
+            "--util",
+            "0.4",
+            "--trials",
+            "1",
+            "--threads",
+            "2",
+            "--store",
+            store.to_str().unwrap(),
+        ]))
+    };
+    let filled = root.join("filled");
+    let out = sweep_into(&filled);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let cells = PackStore::open(&filled).unwrap().decided_entries();
+    assert!(!cells.is_empty());
+    write_legacy_cache(&root.join("target/sweep-cache"), &cells);
+
+    for store in [root.join("empty"), filled] {
+        std::fs::create_dir_all(&store).unwrap();
+        let before = listing(&store);
+        let out = run(exp().current_dir(&root).args([
+            "report",
+            "--store",
+            store.file_name().unwrap().to_str().unwrap(),
+        ]));
+        assert!(out.status.success(), "{}", stderr(&out));
+        assert!(stdout(&out).contains("cells decided"), "{}", stdout(&out));
+        assert_eq!(listing(&store), before, "report wrote to {store:?}");
+    }
+    // A missing store is an error, not a fresh empty directory.
+    let out = run(exp()
+        .current_dir(&root)
+        .args(["report", "--store", "missing"]));
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(!root.join("missing").exists());
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `store import` brings a legacy cache directory and a torn legacy
+/// manifest into one store: the sweep then runs warm and the campaign
+/// resumes (re-simulating only the torn cell), both at their original
+/// digests, and a second import of either source adds nothing.
+#[test]
+fn store_import_brings_legacy_results_in_once() {
+    let root = scratch_dir("import");
+    let sweep = |store: &Path, extra: &[&str]| {
+        let mut cmd = exp();
+        cmd.args(["sweep", "--util", "0.4", "--trials", "1", "--threads", "2"])
+            .args(["--store", store.to_str().unwrap()])
+            .args(extra);
+        run(&mut cmd)
+    };
+    let campaign = |store: &Path, extra: &[&str]| {
+        let mut cmd = exp();
+        cmd.args(["fault-sweep", "--util", "0.4", "--capacity", "300"])
+            .args(["--trials", "1", "--threads", "2", "--horizon", "1000"])
+            .args(["--intensities", "0.0,1.0"])
+            .args(["--store", store.to_str().unwrap()])
+            .args(extra);
+        run(&mut cmd)
+    };
+    let import = |store: &Path, from: &Path| {
+        let out = run(exp().args([
+            "store",
+            "import",
+            store.to_str().unwrap(),
+            from.to_str().unwrap(),
+        ]));
+        assert!(out.status.success(), "{}", stderr(&out));
+        field(&out, "imported").parse::<usize>().unwrap()
+    };
+
+    // Legacy sources, built from the cells of two reference runs.
+    let sweep_src = root.join("sweep-src");
+    let cold = sweep(&sweep_src, &[]);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    let sweep_cells = PackStore::open(&sweep_src).unwrap().decided_entries();
+    let legacy = root.join("sweep-cache");
+    write_legacy_cache(&legacy, &sweep_cells);
+
+    let campaign_src = root.join("campaign-src");
+    let first = campaign(&campaign_src, &[]);
+    assert!(first.status.success(), "{}", stderr(&first));
+    let campaign_cells = PackStore::open(&campaign_src).unwrap().decided_entries();
+    let mut text = String::new();
+    for (key, outcome) in &campaign_cells {
+        let CellOutcome::Done(summary) = outcome else {
+            panic!("the reference campaign quarantined nothing");
+        };
+        text.push_str(&manifest_line(key, summary));
+    }
+    // A kill mid-write tears the manifest's final line.
+    text.truncate(text.len() - 30);
+    let manifest = root.join("campaign.manifest.jsonl");
+    std::fs::write(&manifest, &text).unwrap();
+
+    let store = root.join("store");
+    assert_eq!(import(&store, &legacy), sweep_cells.len());
+    assert_eq!(import(&store, &manifest), campaign_cells.len() - 1);
+
+    let warm = sweep(&store, &["--expect-warm"]);
+    assert!(warm.status.success(), "{}", stderr(&warm));
+    assert_eq!(field(&warm, "simulated"), "0");
+    assert_eq!(field(&warm, "figure_fnv64"), field(&cold, "figure_fnv64"));
+
+    let digest = field(&first, "figure_fnv64");
+    let resumed = campaign(&store, &[]);
+    assert!(resumed.status.success(), "{}", stderr(&resumed));
+    assert_eq!(
+        field(&resumed, "simulated"),
+        "1",
+        "only the torn cell reruns"
+    );
+    assert_eq!(
+        field(&resumed, "resumed"),
+        (campaign_cells.len() - 1).to_string()
+    );
+    assert_eq!(field(&resumed, "figure_fnv64"), digest);
+    let whole = campaign(&store, &["--expect-resumed"]);
+    assert!(whole.status.success(), "{}", stderr(&whole));
+    assert_eq!(field(&whole, "figure_fnv64"), digest);
+
+    // Idempotent: every cell of both sources is already held.
+    assert_eq!(import(&store, &legacy), 0);
+    assert_eq!(import(&store, &manifest), 0);
+
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A flipped byte mid-record: `store scrub` quarantines exactly that

@@ -1,7 +1,7 @@
 //! Pack-store crash-consistency properties: a torn pack tail loses at
 //! most the torn record and never corrupts an earlier one, a truncated
 //! or garbled sidecar index is re-derived from the packs with no
-//! decided cell lost, and legacy per-file cache entries migrate into
+//! decided cell lost, and legacy per-file cache entries import into
 //! the pack byte-identically (f64 sample bit patterns included).
 //!
 //! The corruption grid mirrors the deterministic fault-injection style
@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use harvest_exp::cache::{SweepCache, TrialKey, TrialSummary};
+use harvest_exp::cache::{TrialKey, TrialSummary};
 use harvest_exp::manifest::CellOutcome;
 use harvest_exp::scenario::{PaperScenario, PolicyKind};
 use harvest_exp::store::{DecidedStore, PackStore, TrialStore};
@@ -174,34 +174,49 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Legacy per-file JSON cache entries migrate into the pack store
-    /// byte-identically — counters and raw sample bit patterns — and
-    /// the migration marker makes a second pass a no-op.
+    /// Legacy per-file JSON cache entries (`<fingerprint>.json` files
+    /// of `{key, summary}`) import into the pack store byte-identically
+    /// — counters and raw sample bit patterns — and a second import
+    /// adds nothing.
     #[test]
-    fn legacy_migration_round_trips_sample_bits(
+    fn legacy_import_round_trips_sample_bits(
         case in any::<u64>(),
         grids in proptest::collection::vec(
             proptest::collection::vec(any::<u64>(), 0..4), 1..4),
     ) {
+        #[derive(serde::Serialize)]
+        struct LegacyEntry {
+            key: String,
+            summary: TrialSummary,
+        }
         let legacy = scratch_dir("legacy-src", case);
         let dir = scratch_dir("legacy-dst", case);
-        let cache = SweepCache::new(&legacy).unwrap();
+        std::fs::create_dir_all(&legacy).unwrap();
         for (seed, bits) in grids.iter().enumerate() {
-            cache.put(&key_of(seed as u64), &summary_of(seed as u64, bits));
+            let key = key_of(seed as u64);
+            let entry = LegacyEntry {
+                key: key.text().to_owned(),
+                summary: summary_of(seed as u64, bits),
+            };
+            std::fs::write(
+                legacy.join(format!("{:016x}.json", key.fingerprint())),
+                serde_json::to_string(&entry).unwrap(),
+            )
+            .unwrap();
         }
 
         let store = PackStore::open(&dir).unwrap();
-        let migrated = store.migrate_legacy(&legacy).unwrap();
-        prop_assert_eq!(migrated, grids.len());
+        let imported = store.import(&legacy).unwrap();
+        prop_assert_eq!(imported, grids.len());
         for (seed, bits) in grids.iter().enumerate() {
             prop_assert_eq!(
                 store.probe(&key_of(seed as u64)),
                 Some(summary_of(seed as u64, bits))
             );
         }
-        prop_assert_eq!(store.migrate_legacy(&legacy).unwrap(), 0, "marker stops a re-run");
+        prop_assert_eq!(store.import(&legacy).unwrap(), 0, "a re-run imports nothing");
         drop(store);
-        // The migrated records persist in the pack across a reopen.
+        // The imported records persist in the pack across a reopen.
         let reopened = PackStore::open(&dir).unwrap();
         for (seed, bits) in grids.iter().enumerate() {
             prop_assert_eq!(

@@ -35,8 +35,7 @@ fn fault_args() -> Vec<&'static str> {
 
 fn exp_command() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_exp"));
-    // Stay hermetic: never pick up the invoking shell's store/cache.
-    cmd.env_remove("HARVEST_SWEEP_CACHE");
+    // Stay hermetic: never pick up the invoking shell's store.
     cmd.env_remove("HARVEST_SWEEP_STORE");
     cmd
 }

@@ -2,7 +2,7 @@
 //! stack and the filesystem.
 //!
 //! Everything that writes campaign state to disk — the pack-file
-//! store, the per-file sweep cache, the JSONL manifest, and the
+//! store and the
 //! [`JsonlWriter`](crate::export::JsonlWriter) behind progress
 //! streams — goes through a [`StoreIo`] implementation instead of
 //! `std::fs` directly. Two backends exist:
@@ -74,10 +74,6 @@ pub trait StoreIo: Send + Sync + fmt::Debug {
     fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>>;
     /// Whole-file read.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-    /// Whole-file read as UTF-8.
-    fn read_to_string(&self, path: &Path) -> io::Result<String>;
-    /// Open for appending, creating if absent.
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>>;
     /// Create exclusively (`O_EXCL`): fails with `AlreadyExists` if
     /// the path is taken — the pack-name claim primitive. The handle
     /// appends (`O_APPEND`), so a truncate-by-path rollback moves the
@@ -146,16 +142,6 @@ impl StoreIo for RealIo {
     }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         fs::read(path)
-    }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        fs::read_to_string(path)
-    }
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Box::new(RealFile(file)))
     }
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
         let file = fs::OpenOptions::new()
@@ -400,19 +386,6 @@ impl StoreIo for FaultyIo {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         RealIo.read(path)
     }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        RealIo.read_to_string(path)
-    }
-    fn open_append(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(Box::new(FaultyFile {
-            file,
-            state: Arc::clone(&self.state),
-        }))
-    }
     fn create_new(&self, path: &Path) -> io::Result<Box<dyn StoreFile>> {
         let file = fs::OpenOptions::new()
             .create_new(true)
@@ -647,7 +620,7 @@ pub struct IoHealth {
 }
 
 impl IoHealth {
-    /// Sum two snapshots (e.g. trial store + manifest).
+    /// Sum two snapshots (e.g. a campaign's trial and decided stores).
     pub fn merge(self, other: IoHealth) -> IoHealth {
         IoHealth {
             retries: self.retries + other.retries,
@@ -725,7 +698,7 @@ mod tests {
         assert_eq!(io.read(&path).unwrap(), b"hello");
         io.rename(&path, &dir.join("b.txt")).unwrap();
         assert!(!io.exists(&path));
-        assert_eq!(io.read_to_string(&dir.join("b.txt")).unwrap(), "hello");
+        assert_eq!(io.read(&dir.join("b.txt")).unwrap(), b"hello");
         let _ = fs::remove_dir_all(&dir);
     }
 
