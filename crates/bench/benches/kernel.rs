@@ -7,8 +7,13 @@
 //! Running this bench writes `BENCH_PR1.json` at the workspace root:
 //! every measured id with its median ns/iter, plus derived speedups of
 //! the fast paths over their baselines.
+//!
+//! Pass `--smoke` for a 1-sample sanity run (CI): every benchmark
+//! executes once and no report is written.
 
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use std::time::Duration;
+
+use criterion::{BenchmarkId, Criterion};
 use harvest_energy::source::sample_profile;
 use harvest_energy::sources::SolarModel;
 use harvest_energy::storage::StorageSpec;
@@ -244,6 +249,85 @@ fn energy_algebra_10k(c: &mut Criterion) {
             ))
         })
     });
+
+    // The two crossing queries a scheduling decision issues, 100 of
+    // them spread over the trial. `crossing_window`: the depletion
+    // check of a 15-unit run window at full power (3.2) from a
+    // half-full store — the sun makes the net rate change sign, but the
+    // store cannot empty within the window, which the window bound
+    // settles without a scan. `crossing_stall`: the recharge of an
+    // empty store at idle power 0 up to the restart level (0.1 units
+    // of full-power run) by the end of the trial — the zero-offset
+    // monotone solve.
+    let starts: Vec<SimTime> = (0..100).map(|i| u(i * 97)).collect();
+    let (store, level, power) = (500.0, 250.0, 3.2);
+    let window = SimDuration::from_whole_units(15);
+    g.bench_function("crossing_window/fast", |b| {
+        b.iter(|| {
+            starts
+                .iter()
+                .filter(|&&t| {
+                    let solve = profile.first_accumulation_crossing(
+                        t,
+                        t + window,
+                        black_box(level),
+                        -power,
+                        store,
+                        0.0,
+                    );
+                    solve.is_some()
+                })
+                .count()
+        })
+    });
+    g.bench_function("crossing_window/naive", |b| {
+        b.iter(|| {
+            starts
+                .iter()
+                .filter(|&&t| {
+                    let solve = profile.first_accumulation_crossing_naive(
+                        t,
+                        t + window,
+                        black_box(level),
+                        -power,
+                        store,
+                        0.0,
+                    );
+                    solve.is_some()
+                })
+                .count()
+        })
+    });
+    let restart = 0.1 * power;
+    g.bench_function("crossing_stall/fast", |b| {
+        b.iter(|| {
+            starts
+                .iter()
+                .filter_map(|&t| {
+                    profile.first_accumulation_crossing(t, u(10_000), 0.0, -0.0, store, restart)
+                })
+                .map(SimTime::as_ticks)
+                .sum::<i64>()
+        })
+    });
+    g.bench_function("crossing_stall/naive", |b| {
+        b.iter(|| {
+            starts
+                .iter()
+                .filter_map(|&t| {
+                    profile.first_accumulation_crossing_naive(
+                        t,
+                        u(10_000),
+                        0.0,
+                        -0.0,
+                        store,
+                        restart,
+                    )
+                })
+                .map(SimTime::as_ticks)
+                .sum::<i64>()
+        })
+    });
     g.finish();
 }
 
@@ -265,20 +349,8 @@ fn figure_sweep(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    kernel,
-    event_queue_throughput,
-    piecewise_ops,
-    storage_advance,
-    edf_queue_ops,
-    workload_generation,
-    source_sampling,
-    energy_algebra_10k,
-    figure_sweep
-);
-
 /// Fast-vs-baseline pairs surfaced as `speedups` in the JSON report.
-const SPEEDUP_PAIRS: [(&str, &str, &str); 3] = [
+const SPEEDUP_PAIRS: [(&str, &str, &str); 5] = [
     (
         "integrate_window_4k",
         "energy_algebra_10k/integrate_window_4k/naive",
@@ -293,6 +365,16 @@ const SPEEDUP_PAIRS: [(&str, &str, &str); 3] = [
         "crossing_monotone",
         "energy_algebra_10k/crossing_monotone/naive",
         "energy_algebra_10k/crossing_monotone/fast",
+    ),
+    (
+        "crossing_window",
+        "energy_algebra_10k/crossing_window/naive",
+        "energy_algebra_10k/crossing_window/fast",
+    ),
+    (
+        "crossing_stall",
+        "energy_algebra_10k/crossing_stall/naive",
+        "energy_algebra_10k/crossing_stall/fast",
     ),
 ];
 
@@ -340,7 +422,27 @@ fn write_report(path: &std::path::Path) {
 }
 
 fn main() {
-    kernel();
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let mut c = Criterion::default();
+    if smoke {
+        // One sample, minimal budget: proves every bench still runs
+        // without spending CI minutes on statistics.
+        c.sample_size(1);
+        c.measurement_time(Duration::from_millis(1));
+    }
+    event_queue_throughput(&mut c);
+    piecewise_ops(&mut c);
+    storage_advance(&mut c);
+    edf_queue_ops(&mut c);
+    workload_generation(&mut c);
+    source_sampling(&mut c);
+    energy_algebra_10k(&mut c);
+    figure_sweep(&mut c);
+
+    if smoke {
+        println!("smoke mode: all benches executed; no report written");
+        return;
+    }
     // `cargo bench` runs with the package as cwd; anchor the report at
     // the workspace root so it lands in the same place from anywhere.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

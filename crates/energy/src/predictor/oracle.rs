@@ -103,6 +103,48 @@ mod tests {
         assert_eq!(e, 20.0);
     }
 
+    /// The threaded cursor never changes a bit: an interleaved query
+    /// sequence — repeated `until`, changed `until`, backward `from`,
+    /// empty and reversed windows — returns exactly what a fresh
+    /// `integrate` returns.
+    #[test]
+    fn interleaved_queries_match_fresh_integrals() {
+        let profile = PiecewiseConstant::from_samples(
+            SimTime::from_units(-1.5),
+            SimDuration::from_units(0.7),
+            vec![0.3, 1.7, 0.0, 2.9, 0.45, 1.1, 3.3],
+            Extension::Cycle,
+        )
+        .unwrap();
+        let p = OraclePredictor::new(profile.clone());
+        let t = SimTime::from_units;
+        let queries = [
+            (0.0, 4.2),
+            (0.9, 4.2),   // repeated until
+            (1.3, 4.2),   // repeated until
+            (1.3, 6.05),  // changed until
+            (-0.8, 6.05), // backward from, repeated until
+            (2.0, 4.2),   // back to an earlier until
+            (4.2, 4.2),   // empty window
+            (5.0, 4.2),   // reversed window
+            (3.1, 4.2),   // until repeats across the empty ones
+            (3.1, 9.4),
+        ];
+        for (i, &(a, b)) in queries.iter().enumerate() {
+            let (from, until) = (t(a), t(b));
+            let want = if until <= from {
+                0.0
+            } else {
+                profile.integrate(from, until)
+            };
+            assert_eq!(
+                p.predict_energy(from, until).to_bits(),
+                want.to_bits(),
+                "query {i}: [{a}, {b})"
+            );
+        }
+    }
+
     #[test]
     fn empty_or_reversed_window_is_zero() {
         let p = OraclePredictor::new(PiecewiseConstant::constant(2.0));

@@ -272,6 +272,23 @@ impl StorageSpec {
         debug_assert!(dt >= 0.0);
         let input = self.charge_efficiency * harvest;
         let draw = self.draw(load);
+        // Interior fast path: when the level starts and ends this stretch
+        // well inside (0, capacity), the loop below would take one full
+        // `step = dt` with no clamp and no snap — the band dwarfs the
+        // rounding of its two divisions — so apply that step directly.
+        let rate = input - draw - self.leakage_power;
+        let band = 4.0 * BOUNDARY_SNAP + 1e-12 * self.capacity;
+        let end = report.level + rate * dt;
+        if rate != 0.0
+            && band < report.level
+            && report.level < self.capacity - band
+            && band < end
+            && end < self.capacity - band
+        {
+            report.level = snap(end, self.capacity);
+            report.delivered += load * dt;
+            return;
+        }
         // A constant stretch settles after at most one clamp: move, then
         // pinned. Two iterations suffice.
         while dt > 0.0 {
@@ -285,7 +302,6 @@ impl StorageSpec {
                 report.clamped_empty = true;
                 return;
             }
-            let rate = input - draw - self.leakage_power;
             if report.level <= 0.0 && rate <= 0.0 {
                 // Chatter regime: surplus over the load is eaten by
                 // leakage the instant it is stored; level stays zero but

@@ -6,7 +6,7 @@ use harvest_energy::predictor::{
 };
 use harvest_energy::source::{sample_profile, HarvestSource};
 use harvest_energy::sources::{ConstantSource, DayNightSource, SolarModel};
-use harvest_energy::storage::StorageSpec;
+use harvest_energy::storage::{AdvanceReport, Storage, StorageSpec};
 use harvest_sim::piecewise::{Extension, PiecewiseConstant, Segment};
 use harvest_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -23,7 +23,166 @@ fn profile_strategy() -> impl Strategy<Value = PiecewiseConstant> {
     })
 }
 
+/// The storage kernel's boundary snap distance.
+const BOUNDARY_SNAP: f64 = 1e-9;
+
+fn snap(level: f64, capacity: f64) -> f64 {
+    let level = level.clamp(0.0, capacity);
+    if level < BOUNDARY_SNAP {
+        0.0
+    } else if capacity - level < BOUNDARY_SNAP {
+        capacity
+    } else {
+        level
+    }
+}
+
+/// The per-segment storage step as a plain loop: move toward the next
+/// clamp (two divisions locate it), then stay pinned. The reference
+/// the production step must match bit for bit.
+fn reference_step(
+    spec: &StorageSpec,
+    report: &mut AdvanceReport,
+    harvest: f64,
+    dt: f64,
+    load: f64,
+) {
+    let mut dt = dt;
+    let capacity = spec.capacity();
+    let input = spec.charge_efficiency() * harvest;
+    let draw = if spec.discharge_efficiency() == 1.0 {
+        load
+    } else {
+        load / spec.discharge_efficiency()
+    };
+    while dt > 0.0 {
+        if report.level <= 0.0 && input - draw <= 0.0 {
+            let served = (input * spec.discharge_efficiency()).min(load);
+            report.delivered += served * dt;
+            report.deficit += (load - served) * dt;
+            report.level = 0.0;
+            report.clamped_empty = true;
+            return;
+        }
+        let rate = input - draw - spec.leakage_power();
+        if report.level <= 0.0 && rate <= 0.0 {
+            report.delivered += load * dt;
+            report.level = 0.0;
+            report.clamped_empty = true;
+            return;
+        }
+        if report.level >= capacity && rate >= 0.0 {
+            report.overflow += rate * dt;
+            report.delivered += load * dt;
+            report.clamped_full = true;
+            return;
+        }
+        if rate == 0.0 {
+            report.delivered += load * dt;
+            return;
+        }
+        let until_clamp = if rate > 0.0 {
+            (capacity - report.level) / rate
+        } else {
+            report.level / -rate
+        };
+        if until_clamp <= BOUNDARY_SNAP / rate.abs() {
+            report.level = if rate > 0.0 { capacity } else { 0.0 };
+            continue;
+        }
+        let step = dt.min(until_clamp);
+        report.level = snap(report.level + rate * step, capacity);
+        report.delivered += load * step;
+        dt -= step;
+    }
+}
+
+fn report_bits(r: &AdvanceReport) -> (u64, u64, u64, u64, bool, bool) {
+    (
+        r.level.to_bits(),
+        r.delivered.to_bits(),
+        r.overflow.to_bits(),
+        r.deficit.to_bits(),
+        r.clamped_empty,
+        r.clamped_full,
+    )
+}
+
 proptest! {
+    /// `advance` and `advance_with_each` match the plain two-division
+    /// loop bit for bit — level, delivered, overflow, deficit and both
+    /// clamp flags — on windows that start and end just inside or just
+    /// outside the interior band `4·BOUNDARY_SNAP + 1e-12·C` near 0 and
+    /// near `C`, including one-tick windows, for ideal and lossy specs.
+    /// Net rates span nine decades, so even a one-tick window can end
+    /// inside a band a few nano-units wide.
+    #[test]
+    fn advance_matches_two_division_reference(
+        big in any::<bool>(),
+        lossy in any::<bool>(),
+        eta in 0.5f64..1.0,
+        leak in 0.0f64..0.5,
+        load in 0.0f64..8.0,
+        rate_exp in -8.0f64..1.0,
+        falling in any::<bool>(),
+        start_side in 0u8..3,
+        start_bands in 0.0f64..3.0,
+        end_near_cap in any::<bool>(),
+        end_bands in -1.0f64..3.0,
+        one_tick in any::<bool>(),
+        spill in 0i64..3_000_000,
+        next in 0.0f64..8.0,
+    ) {
+        let cap = if big { 5000.0 } else { 25.0 };
+        let mut spec = StorageSpec::ideal(cap);
+        if lossy {
+            spec = spec
+                .with_charge_efficiency(eta)
+                .with_discharge_efficiency(eta)
+                .with_leakage_power(leak);
+        }
+        // The harvest giving net rate ±10^rate_exp at this load (or none,
+        // when even zero harvest nets more than the drain asked for).
+        let aimed = if falling { -(10f64.powf(rate_exp)) } else { 10f64.powf(rate_exp) };
+        let drain = -spec.net_rate(0.0, load);
+        let harvest = ((aimed + drain) / spec.charge_efficiency()).max(0.0);
+        let rate = spec.net_rate(harvest, load);
+        let band = 4.0 * BOUNDARY_SNAP + 1e-12 * cap;
+        let level = match start_side {
+            0 => start_bands * band,
+            1 => cap - start_bands * band,
+            _ => start_bands / 3.0 * cap,
+        }
+        .clamp(0.0, cap);
+        // Aim the first segment's end at the band near 0 or near `C`.
+        let aim = if end_near_cap { cap - end_bands * band } else { end_bands * band };
+        let ticks = ((aim - level) / rate * 1e6).round();
+        let ticks = if one_tick || ticks.is_nan() || ticks < 1.0 { 1 } else { ticks.min(1e13) as i64 };
+        let from = SimTime::from_whole_units(3);
+        let seg = SimDuration::from_ticks(ticks);
+        let profile =
+            PiecewiseConstant::from_samples(from, seg, vec![harvest, next], Extension::Hold)
+                .expect("valid grid");
+        let to = from + seg + SimDuration::from_ticks(spill);
+
+        let mut want = AdvanceReport { level, ..AdvanceReport::default() };
+        for s in profile.segments_between(from, to) {
+            reference_step(&spec, &mut want, s.value, s.duration().as_units(), load);
+        }
+        let got = spec.advance(level, &profile, from, to, load);
+        prop_assert_eq!(report_bits(&got), report_bits(&want),
+            "advance: {got:?} vs reference {want:?}");
+        let mut storage = Storage::new(spec, level);
+        let mut walked = Vec::new();
+        let each = storage.advance_with_each(&mut profile.cursor(), &profile, from, to, load, |s| {
+            walked.push(s)
+        });
+        prop_assert_eq!(report_bits(&each), report_bits(&want),
+            "advance_with_each: {each:?} vs reference {want:?}");
+        prop_assert_eq!(storage.level().to_bits(), want.level.to_bits());
+        prop_assert_eq!(walked, profile.segments_between(from, to).collect::<Vec<_>>());
+    }
+
     /// Ideal storage advance conserves energy exactly:
     /// Δlevel = harvested − delivered − overflow (deficit is demand that
     /// was never served, so it does not enter).

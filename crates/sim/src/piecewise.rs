@@ -32,7 +32,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::{SimDuration, SimTime, TICKS_PER_UNIT};
 
 /// How a [`PiecewiseConstant`] behaves outside the interval covered by its
 /// breakpoints.
@@ -740,8 +740,9 @@ impl PiecewiseConstant {
     /// monotone, clamping cannot precede the crossing, and the answer is
     /// found by bisecting the prefix-sum antiderivative — `O(log n)`
     /// searches instead of a segment scan. Unreachable targets
-    /// (net rate bounded away from the required direction) return `None`
-    /// in `O(1)`. Only genuinely non-monotone queries fall back to a
+    /// (net rate bounded away from the required direction, or a target
+    /// the rate bounds cannot reach within the window) return `None`
+    /// in `O(1)`. Only the remaining non-monotone queries fall back to a
     /// clamped segment scan, which under [`Extension::Cycle`] skips
     /// provably event-free periods in closed form.
     ///
@@ -821,6 +822,20 @@ impl PiecewiseConstant {
             cur.stats.cross_bisect = cur.stats.cross_bisect.wrapping_add(1);
             return self.monotone_crossing(cur, from, horizon, initial, offset, target);
         }
+        // Window bound: with rate_min < 0 < rate_max here, the clamped
+        // level moves at a rate inside [rate_min, rate_max] (a clamp
+        // only pins it), so over the window it stays within
+        // [initial + rate_min·span, initial + rate_max·span]. A target
+        // beyond that band by more than `margin` — far above the scan's
+        // rounding and its 1e-15 tolerance — is never crossed.
+        let span = (horizon - from).as_units();
+        let margin = 1e-9 * (1.0 + cap);
+        if (target < initial && initial + rate_min * span > target + margin)
+            || (target > initial && initial + rate_max * span < target - margin)
+        {
+            cur.stats.cross_reject = cur.stats.cross_reject.wrapping_add(1);
+            return None;
+        }
         let mut scan = ClampedScan {
             level: initial,
             offset,
@@ -885,7 +900,9 @@ impl PiecewiseConstant {
     /// earliest tick reaching the threshold is found by bisection. Each
     /// probe is one prefix-table evaluation, so the whole solve is
     /// `O(log T · log n)` for a horizon `T` ticks away — no segment is
-    /// ever walked.
+    /// ever walked. A zero-offset rise inside the domain first narrows
+    /// the bracket from a prefix-table estimate, so it bisects only a
+    /// few ticks.
     fn monotone_crossing(
         &self,
         cur: &mut Cursor,
@@ -914,6 +931,70 @@ impl PiecewiseConstant {
             return None;
         }
         let (mut lo, mut hi) = (from.as_ticks(), horizon.as_ticks());
+        // Zero offset, rising, inside the domain (the stall recharge at
+        // idle power 0): `g` is `cum(t) − cum_from`, and `cum` is
+        // monotone in floating point over the domain — each segment
+        // adds `v·u` with `v ≥ 0` and `u` no longer than the span its
+        // prefix entry added. So `reached` flips exactly once, and any
+        // bracket around that tick bisects to the same answer. Estimate
+        // the tick from the prefix table, then gallop outwards from it
+        // with the same predicate to a bracket a few ticks wide.
+        if offset == 0.0
+            && needed > 0.0
+            && from >= self.domain_start()
+            && horizon <= self.domain_end()
+        {
+            let want = cum_from + needed;
+            // First breakpoint whose prefix reaches `want`, galloping
+            // from the segment of `from` that `cum_with` just left in
+            // the cursor; the crossing lies in the segment ending there
+            // (the last segment if none does).
+            let n = self.values.len();
+            let (mut below, mut stride) = (cur.idx, 1);
+            let above = loop {
+                let probe = below + stride;
+                if probe > n {
+                    break n + 1;
+                }
+                if self.prefix[probe] >= want {
+                    break probe;
+                }
+                below = probe;
+                stride *= 2;
+            };
+            let first = below + 1 + self.prefix[below + 1..above].partition_point(|&p| p < want);
+            let k = (first - 1).min(n - 1);
+            let (v, base) = (self.values[k], self.breakpoints[k]);
+            let est = if v > 0.0 {
+                (base.as_units() + (want - self.prefix[k]) / v) * TICKS_PER_UNIT as f64
+            } else {
+                base.as_ticks() as f64
+            };
+            let est = (est.ceil() as i64).clamp(lo + 1, hi);
+            let at = |t: i64| reached(g_at(SimTime::from_ticks(t)));
+            let mut step = 1;
+            if at(est) {
+                hi = est;
+                while hi - step > lo {
+                    if !at(hi - step) {
+                        lo = hi - step;
+                        break;
+                    }
+                    hi -= step;
+                    step *= 2;
+                }
+            } else {
+                lo = est;
+                while lo + step < hi {
+                    if at(lo + step) {
+                        hi = lo + step;
+                        break;
+                    }
+                    lo += step;
+                    step *= 2;
+                }
+            }
+        }
         // Invariant: not reached at lo, reached at hi.
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
@@ -1311,6 +1392,13 @@ mod tests {
         let mut gcur = g.cursor();
         g.first_accumulation_crossing_with(&mut gcur, u(0), u(20), 0.0, 0.0, 100.0, 5.0);
         assert_eq!(gcur.stats().cross_scan, 1);
+        // Falling at most 1 per unit, a level of 50 cannot empty within
+        // 2 units: the window bound rejects without a scan.
+        assert!(g
+            .first_accumulation_crossing_with(&mut gcur, u(0), u(2), 50.0, 0.0, 100.0, 0.0)
+            .is_none());
+        assert_eq!(gcur.stats().cross_scan, 1);
+        assert_eq!(gcur.stats().cross_reject, 1);
 
         // The same query under Cycle takes the period-skip scanner.
         let c = PiecewiseConstant::new(

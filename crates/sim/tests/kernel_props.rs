@@ -14,16 +14,29 @@ fn extension_strategy() -> impl Strategy<Value = Extension> {
     ]
 }
 
+fn non_cyclic_extension() -> impl Strategy<Value = Extension> {
+    prop_oneof![Just(Extension::Hold), Just(Extension::Zero)]
+}
+
 /// Profiles over values drawn from `lo..hi`, in two shapes: equally
 /// spaced samples (the uniform grid, whose lookups are one division)
 /// and random increasing breakpoints (which take the galloping cursor
 /// search). Both start at a random, possibly negative, instant.
 fn profiles_over(lo: f64, hi: f64) -> impl Strategy<Value = PiecewiseConstant> {
+    profiles_with(lo, hi, extension_strategy)
+}
+
+/// [`profiles_over`] with the extension rules drawn from `extensions`.
+fn profiles_with<E: Strategy<Value = Extension> + 'static>(
+    lo: f64,
+    hi: f64,
+    extensions: fn() -> E,
+) -> impl Strategy<Value = PiecewiseConstant> {
     let uniform = (
         proptest::collection::vec(lo..hi, 1..40),
         1i64..5,
         -30i64..30,
-        extension_strategy(),
+        extensions(),
     )
         .prop_map(|(values, dt, start, ext)| {
             PiecewiseConstant::from_samples(
@@ -37,7 +50,7 @@ fn profiles_over(lo: f64, hi: f64) -> impl Strategy<Value = PiecewiseConstant> {
     let non_uniform = (
         proptest::collection::vec((lo..hi, 0.05f64..6.0), 2..40),
         -30.0f64..30.0,
-        extension_strategy(),
+        extensions(),
     )
         .prop_map(|(pieces, start, ext)| {
             let mut t = SimTime::from_units(start);
@@ -311,6 +324,119 @@ proptest! {
                 horizon.as_ticks() - n.as_ticks() <= 1,
                 "naive found {n}, fast found nothing before {horizon}"
             ),
+        }
+    }
+
+    /// Window-bound rejection: in the non-monotone regime on `Hold` and
+    /// `Zero` profiles the solver either scans the window or answers
+    /// `None` from the rate bounds, so a target drawn within a few
+    /// margins of the band edge `initial + rate·span` (`rate_min`
+    /// falling, `rate_max` rising) gets exactly the whole-window scan's
+    /// answer. Half the windows start at a segment holding the extreme
+    /// rate, so the edge is actually reached and both verdicts occur.
+    #[test]
+    fn window_bound_rejection_matches_naive(
+        profile in profiles_with(-6.0, 10.0, non_cyclic_extension),
+        offset in -5.0f64..3.0,
+        initial_frac in 0.05f64..0.95,
+        from_units in -40.0f64..80.0,
+        reach_frac in 0.0f64..1.0,
+        margins in -4i64..5,
+        fine in any::<bool>(),
+        upward in any::<bool>(),
+        anchored in any::<bool>(),
+    ) {
+        let cap = 30.0;
+        let (lo, hi) = match profile.extension() {
+            Extension::Zero => (profile.domain_min().min(0.0), profile.domain_max().max(0.0)),
+            _ => (profile.domain_min(), profile.domain_max()),
+        };
+        let (rate_min, rate_max) = (lo + offset, hi + offset);
+        if !(rate_min < 0.0 && rate_max > 0.0) {
+            // Monotone or rejected on the rate's sign: other tiers.
+            return Ok(());
+        }
+        let initial = initial_frac * cap;
+        let (rate, room) = if upward {
+            (rate_max, cap - initial)
+        } else {
+            (rate_min, initial)
+        };
+        let mut from = SimTime::from_units(from_units);
+        if anchored {
+            let extreme = if upward { hi } else { lo };
+            let start = profile.domain_start();
+            if let Some(seg) = profile
+                .segments_between(start, profile.domain_end())
+                .find(|s| s.value == extreme)
+            {
+                from = seg.start;
+            }
+        }
+        // A window over which the rate bound moves the level
+        // `reach_frac` of the way to the floor or the cap.
+        let span_units = reach_frac * room / rate.abs();
+        let horizon = from + SimDuration::from_units_ceil(span_units).max(SimDuration::TICK);
+        let edge = initial + rate * (horizon - from).as_units();
+        // Steps of the rejection margin, or of the scan's 1e-15
+        // tolerance, which the margin must cover.
+        let step = if fine { 1e-15 } else { 1e-9 * (1.0 + cap) };
+        let target = (edge + margins as f64 * step).clamp(0.0, cap);
+        let fast = profile.first_accumulation_crossing(from, horizon, initial, offset, cap, target);
+        let naive =
+            profile.first_accumulation_crossing_naive(from, horizon, initial, offset, cap, target);
+        prop_assert_eq!(fast, naive,
+            "{initial} -> {target} over [{from}, {horizon}), edge {edge}, offset {offset}");
+    }
+
+    /// Zero-offset rise inside the domain (the stall recharge at idle
+    /// power 0): the answer is the earliest tick whose accumulated
+    /// integral reaches the need within the solver's 1e-15 tolerance,
+    /// and `None` only when the whole window falls short.
+    #[test]
+    fn zero_offset_stall_solve_is_earliest_tick(
+        profile in profile_strategy(),
+        from_frac in 0.0f64..1.0,
+        len_frac in 0.0f64..1.0,
+        initial in 0.0f64..100.0,
+        need_frac in 0.0f64..1.2,
+        on_tick in any::<bool>(),
+        jitter in -3i64..4,
+    ) {
+        let cap = 1e6;
+        let (start, end) = (profile.domain_start(), profile.domain_end());
+        let from = start
+            + SimDuration::from_ticks(((end - start).as_ticks() as f64 * from_frac) as i64);
+        let horizon =
+            from + SimDuration::from_ticks(((end - from).as_ticks() as f64 * len_frac) as i64);
+        if horizon <= from {
+            return Ok(());
+        }
+        // Either a fraction of the window's harvest, or the harvest up to
+        // a tick give or take a few tolerances, where an estimate that
+        // is off by one tick would show.
+        let gain = if on_tick {
+            let ticks = ((horizon - from).as_ticks() as f64 * need_frac.min(1.0)) as i64;
+            profile.integrate(from, from + SimDuration::from_ticks(ticks)) + jitter as f64 * 1e-15
+        } else {
+            need_frac * profile.integrate(from, horizon)
+        };
+        let target = initial + gain.max(0.0);
+        let need = target - initial;
+        let got = profile.first_accumulation_crossing(from, horizon, initial, 0.0, cap, target);
+        match got {
+            Some(t) => {
+                prop_assert!(t >= from && t <= horizon, "{t} outside [{from}, {horizon}]");
+                prop_assert!(profile.integrate(from, t) >= need - 1e-15,
+                    "need {need} not reached at {t}");
+                let prev = t - SimDuration::TICK;
+                if t > from && prev != from {
+                    prop_assert!(profile.integrate(from, prev) < need - 1e-15,
+                        "need {need} already reached at {prev}, one tick before {t}");
+                }
+            }
+            None => prop_assert!(profile.integrate(from, horizon) < need - 1e-15,
+                "need {need} reachable by {horizon} but no crossing found"),
         }
     }
 
