@@ -11,16 +11,11 @@
 //! cells grow; the microcell isolates what is being measured instead of
 //! burying it under simulation work.
 //!
-//! Four modes are timed as `sweep/trials_*`:
+//! Three modes are timed as `sweep/trials_*`:
 //!
-//! * `cold` — the pre-PR4 fast path: shared prefab, but fresh queues,
-//!   registry, and boxed policy every run.
-//! * `pooled` — `run_prefab_in` through one reused [`SimPool`], with
-//!   the release tape stripped: this is the PR 4 reference path the
-//!   tape speedup is measured against.
-//! * `tape` — the same pooled run with the prefab's release tape:
-//!   every `Arrival` is a cursor bump instead of a heap pop, nothing
-//!   else changes.
+//! * `cold` — shared prefab, but fresh queues, registry, and boxed
+//!   policy every run.
+//! * `pooled` — `run_prefab_in` through one reused [`SimPool`].
 //! * `store_warm` — a warm [`PackStore`] hit: one fingerprint map
 //!   lookup plus an in-memory record decode, zero syscalls.
 //!
@@ -35,8 +30,7 @@
 //! path the PR 7 `store_warm` regression gate pins.
 //!
 //! Running this bench writes `BENCH_PR10.json` at the workspace root:
-//! raw medians, trials/sec per mode with the pooled-vs-cold and
-//! tape-vs-pooled speedups,
+//! raw medians, trials/sec per mode with the pooled-vs-cold speedup,
 //! heap-allocation counts per trial (cold vs pooled, via a counting
 //! global allocator), and the per-worker
 //! allocation/item counts of one sharded pooled mini-sweep — workers
@@ -63,10 +57,11 @@
 //! baseline mode with no fresh measurement fails the gate too, except
 //! two kinds of retired mode, each checked against the path that
 //! replaced it: the batched-engine modes (`batched_b*`,
-//! `policy_lockstep`) against `tape`, the scalar path, and the per-file
-//! cache's `cached` against `store_warm`, the pack store's warm probe —
-//! a stricter gate, since a warm store probe is much faster than a
-//! cache file read. Modes the baseline predates are not checked.
+//! `policy_lockstep`) and the release-tape mode `tape` against
+//! `pooled`, the one pooled scalar path, and the per-file cache's
+//! `cached` against `store_warm`, the pack store's warm probe — a
+//! stricter gate, since a warm store probe is much faster than a cache
+//! file read. Modes the baseline predates are not checked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -153,27 +148,15 @@ fn warm_store(s: &PaperScenario, prefab: &TrialPrefab) -> (PackStore, std::path:
     (store, dir)
 }
 
-/// `sweep/trials_{cold,pooled,tape,store_warm}`: one microcell
-/// trial per iteration under each execution mode. `heap_prefab` is the
-/// tape-stripped twin of `prefab` — cold and pooled run it so they stay
-/// the PR 4 reference paths.
-fn trial_modes(
-    c: &mut Criterion,
-    s: &PaperScenario,
-    prefab: &TrialPrefab,
-    heap_prefab: &TrialPrefab,
-    store: &PackStore,
-) {
+/// `sweep/trials_{cold,pooled,store_warm}`: one microcell trial per
+/// iteration under each execution mode.
+fn trial_modes(c: &mut Criterion, s: &PaperScenario, prefab: &TrialPrefab, store: &PackStore) {
     let mut g = c.benchmark_group("sweep");
     g.bench_function("trials_cold", |b| {
-        b.iter(|| black_box(s.run_prefab(POLICY, heap_prefab)))
+        b.iter(|| black_box(s.run_prefab(POLICY, prefab)))
     });
     let mut pool = SimPool::new();
     g.bench_function("trials_pooled", |b| {
-        b.iter(|| black_box(s.run_prefab_in(&mut pool, POLICY, heap_prefab)))
-    });
-    let mut pool = SimPool::new();
-    g.bench_function("trials_tape", |b| {
         b.iter(|| black_box(s.run_prefab_in(&mut pool, POLICY, prefab)))
     });
     let mut pool = SimPool::new();
@@ -401,19 +384,12 @@ fn write_report(path: &std::path::Path, s: &PaperScenario, prefab: &TrialPrefab)
         find("sweep/trials_store_warm"),
     ) {
         (Some(cold), Some(pooled), Some(store_warm)) => {
-            let mut modes = vec![
+            vec![Value::Map(vec![
                 ("cold".to_string(), Value::F64(1e9 / cold)),
                 ("pooled".to_string(), Value::F64(1e9 / pooled)),
                 ("store_warm".to_string(), Value::F64(1e9 / store_warm)),
-            ];
-            if let Some(tape) = find("sweep/trials_tape") {
-                modes.push(("tape".to_string(), Value::F64(1e9 / tape)));
-            }
-            modes.push(("pooled_vs_cold".to_string(), Value::F64(cold / pooled)));
-            if let Some(tape) = find("sweep/trials_tape") {
-                modes.push(("tape_vs_pooled".to_string(), Value::F64(pooled / tape)));
-            }
-            vec![Value::Map(modes)]
+                ("pooled_vs_cold".to_string(), Value::F64(cold / pooled)),
+            ])]
         }
         _ => Vec::new(),
     };
@@ -506,11 +482,12 @@ fn write_report(path: &std::path::Path, s: &PaperScenario, prefab: &TrialPrefab)
 
 /// The fresh mode a baseline mode is checked against: itself, except
 /// the retired modes, each checked against the path that replaced it
-/// and so must keep pace with: the batched-engine modes against the
-/// scalar taped path, the per-file cache against the warm pack store.
+/// and so must keep pace with: the batched-engine modes and the
+/// release-tape mode against the pooled path (which runs the tape), the
+/// per-file cache against the warm pack store.
 fn gated_mode(mode: &str) -> &str {
-    if mode.starts_with("batched_b") || mode == "policy_lockstep" {
-        "tape"
+    if mode.starts_with("batched_b") || mode == "policy_lockstep" || mode == "tape" {
+        "pooled"
     } else if mode == "cached" {
         "store_warm"
     } else {
@@ -597,10 +574,9 @@ fn main() {
     }
     let s = scenario();
     let prefab = s.prefab(SEED);
-    let heap_prefab = prefab.clone().without_tape();
     let (store, store_dir) = warm_store(&s, &prefab);
     let (figure_store, figure_dir) = warm_figure_store();
-    trial_modes(&mut c, &s, &prefab, &heap_prefab, &store);
+    trial_modes(&mut c, &s, &prefab, &store);
     figure_telemetry_modes(&mut c, &figure_store);
     let durability_dirs = durability_append_modes(&mut c, &s, &prefab);
     let cleanup = || {

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{BenchmarkId, Criterion};
-use harvest_core::system::simulate_shared;
+use harvest_core::system::{try_simulate_in, RunContext};
 use harvest_exp::scenario::{PaperScenario, PolicyKind, TrialPrefab};
 use harvest_sim::event::EventQueue;
 use harvest_sim::time::SimTime;
@@ -134,18 +134,22 @@ fn whole_sim(c: &mut Criterion) {
 
 /// One run with metrics collection and phase profiling enabled (the
 /// always-on counters are frozen into a snapshot; the trace stays off,
-/// as in sweeps). The gap between this and `sim_10task_scarce`
+/// as in sweeps). It runs on a fresh context with the prefab's release
+/// tape, as `sim_10task_scarce` does, so the gap between the two
 /// bounds what turning observability *on* costs.
 fn run_observed(s: &PaperScenario, policy: PolicyKind, prefab: &TrialPrefab) -> u64 {
     let config = s.config().with_metrics().with_profiling();
     let predictor = s.predictor.build_shared(&prefab.profile);
-    simulate_shared(
+    try_simulate_in(
+        &mut RunContext::new(),
         config,
         Arc::clone(&prefab.tasks),
         Arc::clone(&prefab.profile),
-        policy.build(),
+        policy.build().as_mut(),
         predictor,
+        Some(Arc::clone(&prefab.tape)),
     )
+    .expect("no watchdog, no abort")
     .events
 }
 

@@ -179,45 +179,6 @@ pub trait Scheduler: Send {
     fn reset(&mut self) {}
 }
 
-impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
-    fn decide(&mut self, ctx: &SchedContext<'_>) -> Decision {
-        (**self).decide(ctx)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        (**self).metrics()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-}
-
-/// Lend a policy to a run without giving up ownership: the pooled entry
-/// points take `&mut dyn Scheduler` and drive it through this impl, so a
-/// `SimPool` can keep one boxed instance per policy alive across trials.
-impl<S: Scheduler + ?Sized> Scheduler for &mut S {
-    fn decide(&mut self, ctx: &SchedContext<'_>) -> Decision {
-        (**self).decide(ctx)
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn metrics(&self) -> Vec<(&'static str, u64)> {
-        (**self).metrics()
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     use harvest_energy::predictor::OraclePredictor;

@@ -9,13 +9,19 @@
 //!
 //! Event structure:
 //!
-//! * `Arrival` — a task releases a job (and schedules its next release);
+//! * `Arrival` — a task releases a job, read from the run's
+//!   [`ReleaseTape`];
 //! * `DeadlineCheck` — fires at each job's absolute deadline to record
-//!   misses (paper's firm-deadline semantics);
+//!   misses (paper's firm-deadline semantics), from per-task FIFOs;
 //! * `Reevaluate` — policy-requested wake-ups: idle-until (`s1`, LSA's
 //!   `s`), the EA-DVFS `s2` review, predicted completion, and storage
 //!   depletion; stale ones are filtered by a decision epoch;
 //! * `Sample` — storage-level sampling for the Fig. 6/7 curves.
+//!
+//! Arrivals and deadline checks never enter the event queue: the model
+//! serves them as a side stream merged with the queue by `(time, seq)`
+//! (see [`Model::side_peek`]), and the queue carries only the
+//! state-dependent events.
 
 use harvest_energy::fault::{apply_harvest_faults, harvest_factor_at};
 use harvest_energy::predictor::{EnergyPredictor, FaultyPredictor};
@@ -36,6 +42,7 @@ use harvest_task::task::Task;
 use harvest_task::taskset::TaskSet;
 use serde::{Deserialize, Serialize};
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::config::{MissPolicy, SystemConfig};
@@ -48,8 +55,8 @@ use crate::trace::TraceEvent;
 /// whether execution can proceed.
 const ENERGY_EPS: f64 = 1e-9;
 
-/// Phase name for the continuous-state advance ([`SystemModel::sync_to`]:
-/// storage integration, accounting, job progress) in a profiled run.
+/// Phase name for the continuous-state advance between events (storage
+/// integration, accounting, job progress) in a profiled run.
 pub const PHASE_ENERGY_SYNC: &str = "energy.sync";
 
 /// Phase name for the policy's `decide` call in a profiled run.
@@ -152,17 +159,18 @@ struct FaultRuntime {
     harvest_factor: f64,
 }
 
-/// Monotone cursor over a shared [`ReleaseTape`]: releases are served
-/// from the precomputed timeline instead of round-tripping through the
-/// event queue, one `Arrival` push/pop per job.
+/// The release side stream: a monotone cursor over a shared
+/// [`ReleaseTape`] plus the pending deadline checks. Every job release
+/// and every deadline check of a run is served from here; none of them
+/// passes through the event queue.
 ///
-/// Bit-identity with the heap-driven run hinges on `pending_seq`: each
-/// task's next release carries a *virtual* sequence number allocated
-/// from the event queue's shared counter ([`EventQueue::alloc_seq`]) at
-/// exactly the program point where the heap path would have scheduled
-/// the `Arrival` — at seeding for the first release, inside
-/// [`SystemModel::release_job`] for every successor. The merged
-/// `(time, seq)` dispatch order is therefore identical, tie-for-tie.
+/// Each release and each check carries a *virtual* sequence number
+/// allocated from the event queue's shared counter
+/// ([`EventQueue::alloc_seq`]) at exactly the program point where a
+/// queue-only run would schedule it — at seeding for a task's first
+/// release, inside [`SystemModel::release_job`] for its check and its
+/// successor. Merging the side stream with the queue by `(time, seq)`
+/// therefore dispatches in the queue-only order, tie for tie.
 #[derive(Debug)]
 struct TapeCursor {
     tape: Arc<ReleaseTape>,
@@ -170,57 +178,85 @@ struct TapeCursor {
     next: usize,
     /// Virtual sequence number of each task's next pending release.
     pending_seq: Vec<u32>,
-    /// Whether deadline checks ride the side stream too. Requires
-    /// constrained deadlines (`D_i <= T_i` for every periodic task):
-    /// then a job's check fires no later than the task's next release,
-    /// so one slot per task can never hold two outstanding checks.
-    elide_deadlines: bool,
-    /// Per-task pending deadline check `(ticks, seq, job)`, claimed at
-    /// release exactly where the heap path would have scheduled it.
-    deadline_slots: Vec<Option<(i64, u32, u64)>>,
-    /// Cached minimum `(ticks, seq, task)` over the occupied slots, so
-    /// the per-event side peek is a compare, not a slot scan.
+    /// Pending deadline checks `(ticks, seq, job)`, one FIFO per task:
+    /// `heads[i]` holds task `i`'s earliest check and `tails[i]` queues
+    /// the rest. A task's relative deadline is fixed, so its checks fall
+    /// due in release order. Constrained deadlines (`D <= T`) never queue
+    /// a second check, so `tails` stays unallocated; a task with `D > T`
+    /// holds up to `⌈D/T⌉`.
+    heads: Vec<Option<(i64, u32, u64)>>,
+    tails: Vec<VecDeque<(i64, u32, u64)>>,
+    /// Cached minimum `(ticks, seq, task)` over the FIFO heads, so the
+    /// per-event side peek is a compare, not a scan.
     deadline_min: Option<(i64, u32, u32)>,
 }
 
 impl TapeCursor {
+    /// An unconsumed cursor over `tape`, with no checks pending.
+    fn new(tape: Arc<ReleaseTape>) -> Self {
+        let task_count = tape.task_count();
+        TapeCursor {
+            tape,
+            next: 0,
+            pending_seq: vec![0; task_count],
+            heads: vec![None; task_count],
+            tails: Vec::new(),
+            deadline_min: None,
+        }
+    }
+
     #[inline]
     fn push_deadline(&mut self, task: usize, ticks: i64, seq: u32, job: u64) {
-        debug_assert!(
-            self.deadline_slots[task].is_none(),
-            "constrained deadlines leave at most one outstanding check per task"
-        );
-        self.deadline_slots[task] = Some((ticks, seq, job));
+        if self.heads[task].is_some() {
+            // Later than the head, so the cached minimum stands.
+            if self.tails.is_empty() {
+                self.tails.resize_with(self.heads.len(), VecDeque::new);
+            }
+            self.tails[task].push_back((ticks, seq, job));
+            return;
+        }
+        self.heads[task] = Some((ticks, seq, job));
         match self.deadline_min {
             Some((t, s, _)) if (t, s) < (ticks, seq) => {}
             _ => self.deadline_min = Some((ticks, seq, task as u32)),
         }
     }
 
-    /// Clears the slot behind `deadline_min` and returns its job;
-    /// rescans the slots (one short pass per fired check) to restore
-    /// the cached minimum.
+    /// Pops the check behind `deadline_min` and returns its job;
+    /// rescans the FIFO heads (one short pass per fired check) to
+    /// restore the cached minimum.
     #[inline]
     fn pop_min_deadline(&mut self) -> u64 {
         let (_, _, task) = self.deadline_min.expect("popping an empty deadline stream");
-        let (_, _, job) = self.deadline_slots[task as usize]
+        let task = task as usize;
+        let (_, _, job) = self.heads[task]
             .take()
-            .expect("cached minimum points at an occupied slot");
+            .expect("cached minimum points at a pending check");
+        self.heads[task] = self.tails.get_mut(task).and_then(VecDeque::pop_front);
         self.deadline_min = self
-            .deadline_slots
+            .heads
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.map(|(t, q, _)| (t, q, i as u32)))
+            .filter_map(|(i, h)| h.map(|(t, s, _)| (t, s, i as u32)))
             .min();
         job
     }
+
+    /// Key of the next release on the tape, if any.
+    #[inline]
+    fn next_release(&self) -> Option<(i64, u32)> {
+        self.tape
+            .entries()
+            .get(self.next)
+            .map(|e| (e.ticks, self.pending_seq[e.task as usize]))
+    }
 }
 
-struct SystemModel<P: Scheduler> {
+struct SystemModel<'p> {
     config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
-    policy: P,
+    policy: &'p mut dyn Scheduler,
     predictor: Box<dyn EnergyPredictor>,
     storage: Storage,
     queue: EdfQueue,
@@ -263,12 +299,11 @@ struct SystemModel<P: Scheduler> {
     /// When set, every domain trace event is also rendered into the
     /// shared ring so a watchdog abort can dump the recent tail.
     flight: Option<SharedFlightRecorder>,
-    /// Precomputed release timeline; `None` runs releases through the
-    /// event queue (the reference path).
-    tape: Option<TapeCursor>,
+    /// Job releases and deadline checks, served beside the event queue.
+    tape: TapeCursor,
 }
 
-impl<P: Scheduler> SystemModel<P> {
+impl SystemModel<'_> {
     /// Advances all continuous state from `last_sync` to `now`:
     /// storage level, energy accounting, predictor observations, job
     /// progress, and residency counters. Detects job completion.
@@ -288,7 +323,7 @@ impl<P: Scheduler> SystemModel<P> {
         // clipped segments, so re-walking the window with a second
         // cursor — the old shape — paid the clipping twice per event.
         // Per-accumulator op order is unchanged; bit-identity is pinned
-        // by the tape-parity and figure-digest suites.
+        // by the release-pin and figure-digest suites.
         let report = {
             let energy = &mut self.energy;
             let predictor = &mut self.predictor;
@@ -390,13 +425,13 @@ impl<P: Scheduler> SystemModel<P> {
     fn release_job(&mut self, now: SimTime, task_index: usize, ctx: &mut EngineCtx<'_, SysEvent>) {
         // Extract the `Copy` parameters up front instead of cloning the
         // task: releases are the hottest event class even with the tape.
-        let (relative_deadline, wcet, actual_work, period) = {
+        let (relative_deadline, wcet, actual_work, periodic) = {
             let task: &Task = &self.tasks.tasks()[task_index];
             (
                 task.relative_deadline(),
                 task.wcet(),
                 task.actual_work(),
-                task.period(),
+                task.period().is_some(),
             )
         };
         let id = JobId(self.next_job_id);
@@ -418,32 +453,16 @@ impl<P: Scheduler> SystemModel<P> {
             deadline,
         });
         self.queue.push(job);
-        match &mut self.tape {
-            // Side-stream bookkeeping replaces the heap pushes: the
-            // deadline check parks in the task's slot and the successor
-            // release lives on the tape. Both claim the sequence number
-            // the heap path would have consumed — in the same order —
-            // so later same-tick events keep their relative order. The
-            // heap path schedules both unconditionally (even past the
-            // horizon), so the claims are too.
-            Some(tc) if tc.elide_deadlines => {
-                tc.push_deadline(task_index, deadline.as_ticks(), ctx.alloc_seq(), id.0);
-                if period.is_some() {
-                    tc.pending_seq[task_index] = ctx.alloc_seq();
-                }
-            }
-            Some(tc) => {
-                ctx.schedule(deadline, SysEvent::DeadlineCheck { job: id });
-                if period.is_some() {
-                    tc.pending_seq[task_index] = ctx.alloc_seq();
-                }
-            }
-            None => {
-                ctx.schedule(deadline, SysEvent::DeadlineCheck { job: id });
-                if let Some(period) = period {
-                    ctx.schedule(now + period, SysEvent::Arrival { task: task_index });
-                }
-            }
+        // The deadline check joins the task's FIFO and the successor
+        // release already lives on the tape. Both claim their sequence
+        // numbers here, check first, in the order a queue-only run
+        // schedules them, so same-tick ties break as in that run (the
+        // release pins hold this). The claims are unconditional, even
+        // past the horizon, for the same reason.
+        let tc = &mut self.tape;
+        tc.push_deadline(task_index, deadline.as_ticks(), ctx.alloc_seq(), id.0);
+        if periodic {
+            tc.pending_seq[task_index] = ctx.alloc_seq();
         }
     }
 
@@ -756,17 +775,13 @@ impl<P: Scheduler> SystemModel<P> {
     }
 }
 
-impl<P: Scheduler> Model for SystemModel<P> {
+impl Model for SystemModel<'_> {
     type Event = SysEvent;
 
     #[inline]
     fn side_peek(&self) -> Option<(SimTime, u32)> {
-        let tc = self.tape.as_ref()?;
-        let release = tc
-            .tape
-            .entries()
-            .get(tc.next)
-            .map(|e| (e.ticks, tc.pending_seq[e.task as usize]));
+        let tc = &self.tape;
+        let release = tc.next_release();
         let deadline = tc.deadline_min.map(|(t, s, _)| (t, s));
         let (ticks, seq) = match (release, deadline) {
             (None, None) => return None,
@@ -778,13 +793,8 @@ impl<P: Scheduler> Model for SystemModel<P> {
 
     #[inline]
     fn side_pop(&mut self) -> SysEvent {
-        let tc = self.tape.as_mut().expect("side_pop without a tape");
-        let release = tc
-            .tape
-            .entries()
-            .get(tc.next)
-            .map(|e| (e.ticks, tc.pending_seq[e.task as usize]));
-        let take_deadline = match (release, tc.deadline_min) {
+        let tc = &mut self.tape;
+        let take_deadline = match (tc.next_release(), tc.deadline_min) {
             (Some(r), Some((t, s, _))) => (t, s) < r,
             (None, Some(_)) => true,
             _ => false,
@@ -892,58 +902,19 @@ pub fn simulate(
     config: SystemConfig,
     tasks: &TaskSet,
     profile: PiecewiseConstant,
-    policy: Box<dyn Scheduler>,
+    mut policy: Box<dyn Scheduler>,
     predictor: Box<dyn EnergyPredictor>,
 ) -> SimResult {
-    simulate_shared(
+    try_simulate_in(
+        &mut RunContext::new(),
         config,
         Arc::new(tasks.clone()),
         Arc::new(profile),
-        policy,
+        policy.as_mut(),
         predictor,
+        None,
     )
-}
-
-/// [`simulate`] without the per-run deep copies: the task set and the
-/// realized profile are taken behind [`Arc`], so sweep drivers can build
-/// each prefab (profile + prefix sums + task set) once per seed and
-/// share it across every capacity and policy trial.
-pub fn simulate_shared(
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: Box<dyn Scheduler>,
-    predictor: Box<dyn EnergyPredictor>,
-) -> SimResult {
-    try_simulate_shared(config, tasks, profile, policy, predictor)
-        .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_shared)"))
-}
-
-/// [`simulate_shared`] with typed aborts: a run whose
-/// [`Watchdog`](harvest_sim::engine::Watchdog) fires returns the
-/// corresponding [`SimError`] instead of panicking. Without a watchdog
-/// this never returns `Err`.
-pub fn try_simulate_shared(
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: Box<dyn Scheduler>,
-    predictor: Box<dyn EnergyPredictor>,
-) -> Result<SimResult, SimError> {
-    let mut reg = MetricsRegistry::new();
-    let (result, _events, _ready) = run_closed_loop(
-        config,
-        tasks,
-        profile,
-        policy,
-        predictor,
-        EventQueue::new(),
-        EdfQueue::new(),
-        &mut reg,
-        None,
-        None,
-    );
-    result
+    .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_in)"))
 }
 
 /// Retention statistics of one [`RunContext`], for sweep drivers that
@@ -963,12 +934,12 @@ pub struct PoolStats {
 /// setup — the event heap and its slab, the EDF ready heap, and the
 /// metrics registry — survive from one trial to the next.
 ///
-/// One context per worker thread; runs through [`simulate_in`] are
-/// bit-identical to [`simulate_shared`] on fresh state (pinned by the
+/// One context per worker thread; runs through [`try_simulate_in`] are
+/// bit-identical to runs on a fresh context (pinned by the
 /// pooled-parity tests), so pooling is purely an allocation optimization.
 #[derive(Debug, Default)]
 pub struct RunContext {
-    /// `None` only while a run through [`simulate_in`] is on the stack.
+    /// `None` only while a run through [`try_simulate_in`] is on the stack.
     events: Option<EventQueue<SysEvent>>,
     ready: Option<EdfQueue>,
     metrics: MetricsRegistry,
@@ -1020,7 +991,7 @@ impl RunContext {
 
     /// Cumulative event-queue statistics of the pooled queue, or `None`
     /// while a run is on the stack or after a run panicked out of
-    /// [`simulate_in`] (the next run self-heals with a fresh queue).
+    /// [`try_simulate_in`] (the next run self-heals with a fresh queue).
     pub fn queue_stats(&self) -> Option<QueueStats> {
         self.events.as_ref().map(|q| q.stats())
     }
@@ -1038,48 +1009,29 @@ impl RunContext {
     }
 }
 
-/// [`simulate_shared`] executing inside a pooled [`RunContext`]: the
-/// event queue, ready queue, and metrics registry are borrowed from the
-/// context and returned to it reset, and the policy is reset and lent
-/// rather than consumed, so a sweep worker can run its whole shard of
-/// trials with zero steady-state queue allocations.
-pub fn simulate_in(
-    ctx: &mut RunContext,
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: &mut dyn Scheduler,
-    predictor: Box<dyn EnergyPredictor>,
-) -> SimResult {
-    try_simulate_in(ctx, config, tasks, profile, policy, predictor)
-        .unwrap_or_else(|e| panic!("simulation aborted: {e} (use try_simulate_in)"))
-}
-
-/// [`simulate_in`] with typed aborts: a watchdog-fired run returns its
-/// [`SimError`] — with the pooled queues already reclaimed and reset,
-/// so the context stays healthy for the worker's next trial.
-pub fn try_simulate_in(
-    ctx: &mut RunContext,
-    config: SystemConfig,
-    tasks: Arc<TaskSet>,
-    profile: Arc<PiecewiseConstant>,
-    policy: &mut dyn Scheduler,
-    predictor: Box<dyn EnergyPredictor>,
-) -> Result<SimResult, SimError> {
-    try_simulate_in_taped(ctx, config, tasks, profile, policy, predictor, None)
-}
-
-/// [`try_simulate_in`] with an optional precomputed [`ReleaseTape`]:
-/// when `tape` is `Some`, task releases are served by a monotone cursor
-/// over the shared timeline instead of per-release event-queue traffic.
-/// The taped run is bit-identical to the heap-driven run (pinned by the
-/// tape-parity suites); the tape must have been built by
-/// [`TaskSet::release_tape`] for this exact task set and horizon.
+/// Runs one closed-loop simulation inside a pooled [`RunContext`], with
+/// typed aborts.
 ///
-/// Runs with `collect_metrics` set ignore the tape and take the
-/// reference path (queue statistics would otherwise skew).
+/// The event queue, ready queue, and metrics registry are borrowed from
+/// the context and returned to it reset, and the policy is reset and
+/// lent rather than consumed, so a sweep worker can run its whole shard
+/// of trials with zero steady-state queue allocations. A run whose
+/// [`Watchdog`](harvest_sim::engine::Watchdog) fires returns the
+/// corresponding [`SimError`] — with the pooled queues already
+/// reclaimed, so the context stays healthy for the worker's next trial.
+/// Without a watchdog this never returns `Err`.
+///
+/// Job releases come from `tape`, a [`ReleaseTape`] that sweep drivers
+/// build once per task set (with [`TaskSet::release_tape`] over this
+/// run's horizon) and share across every capacity and policy; `None`
+/// builds it here.
+///
+/// # Panics
+///
+/// Panics if `tape` was built for a different horizon or task count,
+/// or if the CPU model has a non-zero switch time overhead.
 #[allow(clippy::too_many_arguments)]
-pub fn try_simulate_in_taped(
+pub fn try_simulate_in(
     ctx: &mut RunContext,
     config: SystemConfig,
     tasks: Arc<TaskSet>,
@@ -1088,6 +1040,7 @@ pub fn try_simulate_in_taped(
     predictor: Box<dyn EnergyPredictor>,
     tape: Option<Arc<ReleaseTape>>,
 ) -> Result<SimResult, SimError> {
+    let tape = tape.unwrap_or_else(|| Arc::new(tasks.release_tape(config.horizon)));
     policy.reset();
     let events = ctx.events.take().unwrap_or_default();
     let ready = ctx.ready.take().unwrap_or_default();
@@ -1117,22 +1070,20 @@ pub fn try_simulate_in_taped(
     result
 }
 
-/// The shared closed-loop core: generic over the policy handle (owned
-/// box for the fresh path, `&mut dyn` for the pooled path) and explicit
-/// about the queue storage it runs on, which it hands back so a pool
-/// can reclaim the allocations.
+/// The closed-loop core, explicit about the queue storage it runs on,
+/// which it hands back so a pool can reclaim the allocations.
 #[allow(clippy::too_many_arguments)]
-fn run_closed_loop<P: Scheduler>(
+fn run_closed_loop(
     mut config: SystemConfig,
     tasks: Arc<TaskSet>,
     profile: Arc<PiecewiseConstant>,
-    policy: P,
+    policy: &mut dyn Scheduler,
     predictor: Box<dyn EnergyPredictor>,
     equeue: EventQueue<SysEvent>,
     ready: EdfQueue,
     reg: &mut MetricsRegistry,
     flight: Option<SharedFlightRecorder>,
-    tape: Option<Arc<ReleaseTape>>,
+    tape: Arc<ReleaseTape>,
 ) -> (Result<SimResult, SimError>, EventQueue<SysEvent>, EdfQueue) {
     debug_assert!(ready.is_empty(), "pooled ready queue must be cleared");
     assert!(
@@ -1140,23 +1091,16 @@ fn run_closed_loop<P: Scheduler>(
         "the closed-loop simulator models DVFS switch *energy* only; \
          time overhead must be zero (the paper's §5.1 assumption)"
     );
-    // Metric runs derive `QueueStats::popped` from the scheduled count,
-    // which virtual sequence allocation would skew; those runs (figure
-    // traces, `exp inspect`) are rare and cold, so fall back to the
-    // heap-driven reference path rather than special-case the stats.
-    let tape = tape.filter(|_| !config.collect_metrics);
-    if let Some(t) = &tape {
-        assert_eq!(
-            t.horizon_ticks(),
-            (SimTime::ZERO + config.horizon).as_ticks(),
-            "release tape was built for a different horizon"
-        );
-        assert_eq!(
-            t.task_count(),
-            tasks.len(),
-            "release tape was built for a different task set"
-        );
-    }
+    assert_eq!(
+        tape.horizon_ticks(),
+        (SimTime::ZERO + config.horizon).as_ticks(),
+        "release tape was built for a different horizon"
+    );
+    assert_eq!(
+        tape.task_count(),
+        tasks.len(),
+        "release tape was built for a different task set"
+    );
     // Fault injection. Each arm is a no-op on the fault-free path, so a
     // run with `fault_plan: None` is bit-identical to the pre-fault
     // simulator (pinned by the Fig. 5–9 suites).
@@ -1218,10 +1162,7 @@ fn run_closed_loop<P: Scheduler>(
         epoch: 0,
         next_job_id: 0,
         // One record per release: the tape length is the exact job count.
-        records: match &tape {
-            Some(t) => Vec::with_capacity(t.len()),
-            None => Vec::new(),
-        },
+        records: Vec::with_capacity(tape.len()),
         last_level: None,
         switches: 0,
         level_time: vec![0.0; level_count],
@@ -1239,20 +1180,7 @@ fn run_closed_loop<P: Scheduler>(
         }),
         profiler: None,
         flight,
-        tape: tape.map(|tape| {
-            let task_count = tape.task_count();
-            TapeCursor {
-                tape,
-                next: 0,
-                pending_seq: vec![0; task_count],
-                elide_deadlines: tasks
-                    .tasks()
-                    .iter()
-                    .all(|t| t.period().is_none_or(|p| t.relative_deadline() <= p)),
-                deadline_slots: vec![None; task_count],
-                deadline_min: None,
-            }
-        }),
+        tape: TapeCursor::new(tape),
     };
     let mut engine = Engine::with_queue(model, equeue);
     if engine.model().config.profile {
@@ -1275,25 +1203,14 @@ fn run_closed_loop<P: Scheduler>(
         }
         engine.model_mut().apply_fault_state(SimTime::ZERO);
     }
-    // Seed first arrivals and the sampling grid. On the taped path the
-    // first releases are tape entries; claim their sequence numbers in
-    // the same task-index order the heap path schedules them, so the
-    // same-tick tie-break is preserved.
-    let taped = engine.model().tape.is_some();
+    // Claim the first releases' sequence numbers in task-index order,
+    // as a queue-only run would schedule them, so the same-tick
+    // tie-break is preserved; then seed the sampling grid.
     for (i, task) in tasks.iter().enumerate() {
         let phase = task.phase();
         if phase >= SimTime::ZERO && phase < SimTime::ZERO + horizon {
-            if taped {
-                let seq = engine.alloc_seq();
-                let model = engine.model_mut();
-                model
-                    .tape
-                    .as_mut()
-                    .expect("taped checked above")
-                    .pending_seq[i] = seq;
-            } else {
-                engine.schedule(phase, SysEvent::Arrival { task: i });
-            }
+            let seq = engine.alloc_seq();
+            engine.model_mut().tape.pending_seq[i] = seq;
         }
     }
     if engine.model().config.sample_interval.is_some() {
@@ -1400,6 +1317,20 @@ mod tests {
             policy,
             Box::new(OraclePredictor::new(profile)),
         )
+    }
+
+    /// One run through `ctx` with the oracle predictor; the run builds
+    /// its own release tape.
+    fn run_in(
+        ctx: &mut RunContext,
+        config: SystemConfig,
+        tasks: &TaskSet,
+        profile: &PiecewiseConstant,
+        policy: &mut dyn Scheduler,
+    ) -> Result<SimResult, SimError> {
+        let predictor = Box::new(OraclePredictor::new(profile.clone()));
+        let (tasks, profile) = (Arc::new(tasks.clone()), Arc::new(profile.clone()));
+        try_simulate_in(ctx, config, tasks, profile, policy, predictor, None)
     }
 
     fn section2_config() -> SystemConfig {
@@ -1834,7 +1765,7 @@ mod tests {
         let mut ctx = RunContext::new();
         let config = section2_config().with_metrics();
         let profile = PiecewiseConstant::constant(0.5);
-        let tasks = Arc::new(section2_tasks());
+        let tasks = section2_tasks();
         let factories: Vec<fn() -> Box<dyn Scheduler>> = vec![
             || Box::new(EaDvfsScheduler::new()),
             || Box::new(LazyScheduler::new()),
@@ -1844,23 +1775,10 @@ mod tests {
             let fresh = run(mk(), &section2_tasks(), config.clone());
             let mut policy = mk();
             // Dirty the pooled policy's counters with an extra run;
-            // `simulate_in` must reset them before the compared trial.
-            let _ = simulate_in(
-                &mut ctx,
-                config.clone(),
-                Arc::clone(&tasks),
-                Arc::new(profile.clone()),
-                policy.as_mut(),
-                Box::new(OraclePredictor::new(profile.clone())),
-            );
-            let pooled = simulate_in(
-                &mut ctx,
-                config.clone(),
-                Arc::clone(&tasks),
-                Arc::new(profile.clone()),
-                policy.as_mut(),
-                Box::new(OraclePredictor::new(profile.clone())),
-            );
+            // `try_simulate_in` must reset them before the compared trial.
+            let _ = run_in(&mut ctx, config.clone(), &tasks, &profile, policy.as_mut());
+            let pooled =
+                run_in(&mut ctx, config.clone(), &tasks, &profile, policy.as_mut()).unwrap();
             assert_eq!(fresh, pooled, "policy {}", pooled.scheduler);
         }
         let stats = ctx.stats();
@@ -1873,14 +1791,14 @@ mod tests {
     fn run_context_shrink_bounds_retention() {
         let mut ctx = RunContext::new();
         let profile = PiecewiseConstant::constant(0.5);
-        let _ = simulate_in(
+        let _ = run_in(
             &mut ctx,
             section2_config(),
-            Arc::new(section2_tasks()),
-            Arc::new(profile.clone()),
+            &section2_tasks(),
+            &profile,
             &mut EdfScheduler::new(),
-            Box::new(OraclePredictor::new(profile)),
-        );
+        )
+        .unwrap();
         assert!(ctx.stats().event_slab_high_water > 0);
         ctx.shrink_to(0);
         // High-water marks record the peak, not the current capacity.
@@ -2032,12 +1950,12 @@ mod tests {
         let profile = PiecewiseConstant::constant(2.0);
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300))
             .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(5));
-        let err = try_simulate_shared(
+        let err = run_in(
+            &mut RunContext::new(),
             config,
-            Arc::new(tasks),
-            Arc::new(profile.clone()),
-            Box::new(EdfScheduler::new()),
-            Box::new(OraclePredictor::new(profile)),
+            &tasks,
+            &profile,
+            &mut EdfScheduler::new(),
         )
         .expect_err("a 5-event budget cannot cover a 300-unit run");
         assert!(matches!(
@@ -2048,38 +1966,30 @@ mod tests {
 
     #[test]
     fn watchdog_abort_leaves_pool_reusable() {
-        let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
-        let profile = Arc::new(PiecewiseConstant::constant(2.0));
+        let tasks = TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]);
+        let profile = PiecewiseConstant::constant(2.0);
         let base = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300));
         let mut ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let err = try_simulate_in(
+        let budget = harvest_sim::engine::Watchdog::with_max_events(5);
+        let err = run_in(
             &mut ctx,
-            base.clone()
-                .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(5)),
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
+            base.clone().with_watchdog(budget),
+            &tasks,
+            &profile,
             &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
         );
         assert!(err.is_err());
         assert!(ctx.queue_stats().is_some(), "queues reclaimed after abort");
         // The same context then runs a clean trial bit-identical to a
         // fresh one.
-        let pooled = simulate_in(
-            &mut ctx,
-            base.clone(),
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-        );
-        let fresh = simulate_shared(
+        let pooled = run_in(&mut ctx, base.clone(), &tasks, &profile, &mut policy).unwrap();
+        let fresh = simulate(
             base,
-            tasks,
-            Arc::clone(&profile),
+            &tasks,
+            profile.clone(),
             Box::new(EdfScheduler::new()),
-            Box::new(OraclePredictor::new((*profile).clone())),
+            Box::new(OraclePredictor::new(profile)),
         );
         assert_eq!(pooled, fresh);
         assert_eq!(ctx.stats().runs, 2, "aborted runs still count");
@@ -2087,8 +1997,8 @@ mod tests {
 
     #[test]
     fn watchdog_abort_freezes_a_flight_dump() {
-        let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
-        let profile = Arc::new(PiecewiseConstant::constant(2.0));
+        let tasks = TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]);
+        let profile = PiecewiseConstant::constant(2.0);
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300))
             .with_watchdog(harvest_sim::engine::Watchdog::with_max_events(40));
         let mut ctx = RunContext::new();
@@ -2096,15 +2006,7 @@ mod tests {
         if let Some(flight) = ctx.flight() {
             flight.lock().unwrap().mark("cell key text");
         }
-        let mut policy = EdfScheduler::new();
-        let err = try_simulate_in(
-            &mut ctx,
-            config,
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-        );
+        let err = run_in(&mut ctx, config, &tasks, &profile, &mut EdfScheduler::new());
         assert!(err.is_err());
         let dumps = ctx.take_flight_dumps();
         assert_eq!(dumps.len(), 1);
@@ -2126,120 +2028,28 @@ mod tests {
 
     #[test]
     fn flight_recording_does_not_change_results() {
-        let tasks = Arc::new(TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]));
-        let profile = Arc::new(PiecewiseConstant::constant(2.0));
+        let tasks = TaskSet::new(vec![Task::periodic_implicit(d(10), 2.0)]);
+        let profile = PiecewiseConstant::constant(2.0);
         let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(200.0), d(300));
-        let mut plain_ctx = RunContext::new();
         let mut policy = EdfScheduler::new();
-        let plain = simulate_in(
-            &mut plain_ctx,
+        let plain = run_in(
+            &mut RunContext::new(),
             config.clone(),
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
+            &tasks,
+            &profile,
             &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
         );
         let mut recorded_ctx = RunContext::new();
         recorded_ctx.enable_flight(64);
-        let recorded = simulate_in(
-            &mut recorded_ctx,
-            config,
-            tasks,
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
+        let recorded = run_in(&mut recorded_ctx, config, &tasks, &profile, &mut policy);
+        assert_eq!(
+            plain.unwrap(),
+            recorded.unwrap(),
+            "flight recording is observation-only"
         );
-        assert_eq!(plain, recorded, "flight recording is observation-only");
         assert!(
             recorded_ctx.take_flight_dumps().is_empty(),
             "clean runs capture nothing"
         );
-    }
-
-    /// Tie-heavy periodic set: at t = 5 the heap pops τ1's seeded
-    /// release before τ0's successor (lower sequence number), the case
-    /// a naive sorted-by-task-index tape would invert.
-    fn tape_tasks() -> Arc<TaskSet> {
-        Arc::new(TaskSet::new(vec![
-            Task::periodic(u(0), d(5), d(5), 1.0),
-            Task::periodic(u(5), d(10), d(10), 1.5),
-            Task::periodic_implicit(d(20), 4.0),
-        ]))
-    }
-
-    #[test]
-    fn taped_runs_are_bit_identical_to_heap_runs() {
-        let tasks = tape_tasks();
-        let profile = Arc::new(PiecewiseConstant::constant(0.8));
-        let config = SystemConfig::new(presets::xscale(), StorageSpec::ideal(30.0), d(200))
-            .with_sample_interval(d(25));
-        let tape = Arc::new(tasks.release_tape(config.horizon));
-        let policies: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(EdfScheduler::new()),
-            Box::new(LazyScheduler::new()),
-            Box::new(GreedyStretchScheduler::new()),
-            Box::new(EaDvfsScheduler::new()),
-        ];
-        for mut policy in policies {
-            let mut ctx = RunContext::new();
-            let heap = try_simulate_in(
-                &mut ctx,
-                config.clone(),
-                Arc::clone(&tasks),
-                Arc::clone(&profile),
-                policy.as_mut(),
-                Box::new(OraclePredictor::new((*profile).clone())),
-            )
-            .unwrap();
-            let taped = try_simulate_in_taped(
-                &mut ctx,
-                config.clone(),
-                Arc::clone(&tasks),
-                Arc::clone(&profile),
-                policy.as_mut(),
-                Box::new(OraclePredictor::new((*profile).clone())),
-                Some(Arc::clone(&tape)),
-            )
-            .unwrap();
-            assert_eq!(heap, taped, "tape diverged under {}", heap.scheduler);
-            assert!(taped.released() > 0, "scenario exercises releases");
-        }
-    }
-
-    #[test]
-    fn taped_metric_runs_fall_back_to_the_heap_path() {
-        let tasks = tape_tasks();
-        let profile = Arc::new(PiecewiseConstant::constant(0.8));
-        let config =
-            SystemConfig::new(presets::xscale(), StorageSpec::ideal(30.0), d(100)).with_metrics();
-        let tape = Arc::new(tasks.release_tape(config.horizon));
-        let mut ctx = RunContext::new();
-        let mut policy = EdfScheduler::new();
-        let taped = try_simulate_in_taped(
-            &mut ctx,
-            config.clone(),
-            Arc::clone(&tasks),
-            Arc::clone(&profile),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-            Some(tape),
-        )
-        .unwrap();
-        let heap = try_simulate_in(
-            &mut ctx,
-            config,
-            tasks,
-            profile.clone(),
-            &mut policy,
-            Box::new(OraclePredictor::new((*profile).clone())),
-        )
-        .unwrap();
-        let m = taped.metrics.as_ref().expect("metrics collected");
-        assert_eq!(
-            m.counter("queue.scheduled"),
-            heap.metrics.as_ref().unwrap().counter("queue.scheduled"),
-            "metric runs ignore the tape, so queue stats stay reference-exact"
-        );
-        assert_eq!(heap, taped);
     }
 }

@@ -13,7 +13,7 @@ use harvest_core::policies::{
 };
 use harvest_core::result::{SimError, SimResult};
 use harvest_core::scheduler::Scheduler;
-use harvest_core::system::{simulate_shared, try_simulate_in_taped, PoolStats, RunContext};
+use harvest_core::system::{try_simulate_in, PoolStats, RunContext};
 use harvest_cpu::{presets, CpuModel};
 use harvest_energy::predictor::{
     EnergyPredictor, EwmaSlotPredictor, MovingAveragePredictor, OraclePredictor,
@@ -151,14 +151,14 @@ impl SimPool {
         let sched = self.policies[policy.index()]
             .get_or_insert_with(|| policy.build())
             .as_mut();
-        try_simulate_in_taped(
+        try_simulate_in(
             &mut self.ctx,
             config,
             Arc::clone(&prefab.tasks),
             Arc::clone(&prefab.profile),
             sched,
             predictor,
-            prefab.tape.clone(),
+            Some(Arc::clone(&prefab.tape)),
         )
     }
 
@@ -315,21 +315,9 @@ pub struct TrialPrefab {
     /// utilization against this profile's mean power.
     pub tasks: Arc<harvest_task::TaskSet>,
     /// The precomputed release timeline over the scenario horizon,
-    /// shared by every run that replays the trial (releases are seed-
-    /// and policy-independent). `None` routes releases through the
-    /// event queue — the reference path, kept for benchmarks and
-    /// parity baselines via [`Self::without_tape`].
-    pub tape: Option<Arc<ReleaseTape>>,
-}
-
-impl TrialPrefab {
-    /// Drops the precomputed release tape, forcing every run of this
-    /// prefab onto the heap-driven reference path. Results are
-    /// bit-identical either way (pinned by the tape-parity suites).
-    pub fn without_tape(mut self) -> Self {
-        self.tape = None;
-        self
-    }
+    /// shared by every run that replays the trial (releases are
+    /// capacity- and policy-independent).
+    pub tape: Arc<ReleaseTape>,
 }
 
 /// Deterministic fault injection for robustness sweeps: one intensity
@@ -494,7 +482,7 @@ impl PaperScenario {
             seed,
             profile,
             tasks,
-            tape: Some(tape),
+            tape,
         }
     }
 
@@ -522,26 +510,10 @@ impl PaperScenario {
         config
     }
 
-    fn run_prefab_config(
-        &self,
-        config: SystemConfig,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-    ) -> SimResult {
-        let predictor = self.predictor.build_shared(&prefab.profile);
-        simulate_shared(
-            config,
-            Arc::clone(&prefab.tasks),
-            Arc::clone(&prefab.profile),
-            policy.build(),
-            predictor,
-        )
-    }
-
-    /// Runs one policy on a prebuilt trial, sharing its profile and
-    /// task set instead of regenerating them.
+    /// Runs one policy on a prebuilt trial, sharing its profile, task
+    /// set and release tape instead of regenerating them.
     pub fn run_prefab(&self, policy: PolicyKind, prefab: &TrialPrefab) -> SimResult {
-        self.run_prefab_config(self.config_for(prefab.seed), policy, prefab)
+        self.run_prefab_in(&mut SimPool::new(), policy, prefab)
     }
 
     /// [`run_prefab`](Self::run_prefab) through a worker's [`SimPool`]:
@@ -643,7 +615,7 @@ impl PaperScenario {
             .with_trace()
             .with_metrics()
             .with_profiling();
-        self.run_prefab_config(config, policy, prefab)
+        SimPool::new().run(self, config, policy, prefab)
     }
 
     /// Runs one policy on one seeded trial.

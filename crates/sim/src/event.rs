@@ -96,11 +96,14 @@ struct Slot<E> {
 
 /// Lifetime operation counts of an [`EventQueue`], for observability.
 ///
+/// Only events that entered the queue count: sequence numbers claimed
+/// through [`EventQueue::alloc_seq`] for events kept outside it do not.
 /// Gathering these costs the hot paths nothing: `scheduled` is the
-/// sequence counter the queue already maintains, `popped` is derived
-/// (`scheduled - cancelled - cleared - pending`), and `cancelled` /
-/// `cleared` live on cold paths — except `max_pending`, one predictable
-/// compare per schedule.
+/// sequence counter the queue already maintains less the claims,
+/// `popped` is derived (`scheduled - cancelled - cleared - pending`),
+/// and `cancelled` / `cleared` live on cold paths — except
+/// `max_pending`, one predictable compare per schedule, and the claim
+/// count, one add per claim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct QueueStats {
     /// Events ever scheduled.
@@ -160,6 +163,9 @@ pub struct EventQueue<E> {
     cancelled: u64,
     /// Events dropped by [`clear`](Self::clear).
     cleared: u64,
+    /// Sequence numbers claimed by [`alloc_seq`](Self::alloc_seq) for
+    /// events kept outside the queue.
+    claimed: u64,
 }
 
 impl<E: Copy> Default for EventQueue<E> {
@@ -181,6 +187,7 @@ impl<E: Copy> EventQueue<E> {
             max_len: 0,
             cancelled: 0,
             cleared: 0,
+            claimed: 0,
         }
     }
 
@@ -207,7 +214,7 @@ impl<E: Copy> EventQueue<E> {
         if ticks < self.floor {
             past_panic(time, self.last_popped);
         }
-        let seq = self.alloc_seq();
+        let seq = self.take_seq();
         let pos = self.heap.len() as u32;
         let s = Slot { seq, pos, payload };
         let slot = if self.free_head != NIL {
@@ -297,15 +304,20 @@ impl<E: Copy> EventQueue<E> {
     /// dispatch order bit for bit, because every event — queued or
     /// elided — carries the same key it would have carried in the queue.
     ///
-    /// Note that [`QueueStats::scheduled`] counts claimed sequence
-    /// numbers, so elided events still show up there (and in the derived
-    /// `popped`) even though they never occupy a slot.
+    /// Claimed numbers are counted apart, so [`QueueStats`] reports
+    /// only the events that entered the queue.
     ///
     /// # Panics
     ///
     /// Panics if the sequence space is exhausted.
     #[inline]
     pub fn alloc_seq(&mut self) -> u32 {
+        self.claimed += 1;
+        self.take_seq()
+    }
+
+    #[inline]
+    fn take_seq(&mut self) -> u32 {
         let seq = self.next_seq;
         assert!(seq != SEQ_DEAD, "event queue sequence space exhausted");
         self.next_seq += 1;
@@ -330,7 +342,7 @@ impl<E: Copy> EventQueue<E> {
 
     /// Lifetime operation counts; see [`QueueStats`].
     pub fn stats(&self) -> QueueStats {
-        let scheduled = self.next_seq as u64;
+        let scheduled = self.next_seq as u64 - self.claimed;
         let pending = self.heap.len() as u64;
         QueueStats {
             scheduled,
@@ -381,6 +393,7 @@ impl<E: Copy> EventQueue<E> {
         self.max_len = 0;
         self.cancelled = 0;
         self.cleared = 0;
+        self.claimed = 0;
     }
 
     /// Drops every pending event. Outstanding handles become stale.
@@ -475,7 +488,8 @@ pub struct ReleaseEntry {
 /// tape is built once per scenario, shared read-only (`Arc`) across
 /// every trial and worker shard, and consumed by a monotone
 /// cursor. The queue then only carries the state-dependent traffic
-/// (deadline checks, policy re-evaluations, samples, fault edges).
+/// (policy re-evaluations, samples, fault edges); `harvest-core` keeps
+/// the deadline checks beside it too, in per-task FIFOs.
 ///
 /// **Ordering.** Entries are *not* sorted by `(ticks, task)`: they are
 /// emitted in the order the heap-driven run pops arrivals, which is
@@ -736,6 +750,28 @@ mod tests {
         assert_eq!(s.cleared, 1);
         assert_eq!(s.pending, 0);
         assert_eq!(s.popped, 1, "clear does not count as popping");
+    }
+
+    #[test]
+    fn claimed_sequence_numbers_are_not_counted_as_queue_traffic() {
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 1);
+        q.pop();
+        let before = q.stats();
+        let claims: Vec<u32> = (0..5).map(|_| q.alloc_seq()).collect();
+        assert_eq!(
+            claims,
+            vec![1, 2, 3, 4, 5],
+            "claims draw on the shared counter"
+        );
+        assert_eq!(q.stats(), before, "claims schedule and pop nothing");
+        q.schedule(t(2), 2);
+        q.pop();
+        let s = q.stats();
+        assert_eq!((s.scheduled, s.popped), (2, 2));
+        q.reset();
+        assert_eq!(q.alloc_seq(), 0);
+        assert_eq!(q.stats().scheduled, 0, "reset forgets the claims");
     }
 
     /// Drives a queue through a deterministic schedule/cancel/pop

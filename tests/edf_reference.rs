@@ -9,14 +9,22 @@
 //! (and the energy-aware policies, which degenerate to it there, §4.3)
 //! must reproduce the oracle job by job: the same completion instants,
 //! the same misses, the same busy time.
+//!
+//! Tasks carry a phase and a relative deadline anywhere from about half
+//! to twice their period, so the engine's per-task FIFOs of pending
+//! deadline checks are exercised with several checks outstanding.
 
 use harvest_rt::prelude::*;
 use proptest::prelude::*;
 
-/// A periodic task with implicit deadline, phase 0, in whole units.
+/// A periodic task in whole units: the first job is released at
+/// `phase`, one more every `period`, each due `deadline` after its
+/// release.
 #[derive(Debug, Clone, Copy)]
 struct PlainTask {
+    phase: i64,
     period: i64,
+    deadline: i64,
     work: i64,
 }
 
@@ -38,13 +46,23 @@ struct PlainJob {
 /// whose deadline has come and is unfinished misses: it is dropped, or
 /// kept to run late when `run_late`), then releases the instant's jobs,
 /// then runs the ready job with the earliest deadline for one unit.
-/// Ties fall to the earlier release, then the lower task index — the
-/// engine's release order for implicit-deadline tasks. Returns the jobs
-/// sorted by `(task, arrival)` and the number of busy units.
+/// Deadline ties fall to the job released first.
+///
+/// Releases are queued in a list: the phase releases in task order,
+/// then each release queues its task's next one behind everything
+/// already queued. Same-instant releases happen in list order, which
+/// numbers the jobs as the engine does. Returns the jobs sorted by
+/// `(task, arrival)` and the number of busy units.
 fn plain_edf(tasks: &[PlainTask], horizon: i64, run_late: bool) -> (Vec<PlainJob>, i64) {
     let mut jobs: Vec<PlainJob> = Vec::new();
     let mut remaining: Vec<i64> = Vec::new();
     let mut ready: Vec<usize> = Vec::new();
+    let mut releases: Vec<(i64, usize)> = tasks
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.phase < horizon)
+        .map(|(task, t)| (t.phase, task))
+        .collect();
     let mut busy = 0;
     for now in 0..horizon {
         ready.retain(|&j| {
@@ -54,23 +72,28 @@ fn plain_edf(tasks: &[PlainTask], horizon: i64, run_late: bool) -> (Vec<PlainJob
             jobs[j].missed = true;
             run_late
         });
-        for (task, t) in tasks.iter().enumerate() {
-            if now % t.period == 0 {
-                ready.push(jobs.len());
-                remaining.push(t.work);
-                jobs.push(PlainJob {
-                    task,
-                    arrival: now,
-                    deadline: now + t.period,
-                    completed: None,
-                    missed: false,
-                });
+        let mut k = 0;
+        while k < releases.len() {
+            let (at, task) = releases[k];
+            if at != now {
+                k += 1;
+                continue;
             }
+            releases.remove(k);
+            let t = tasks[task];
+            releases.push((now + t.period, task));
+            ready.push(jobs.len());
+            remaining.push(t.work);
+            jobs.push(PlainJob {
+                task,
+                arrival: now,
+                deadline: now + t.deadline,
+                completed: None,
+                missed: false,
+            });
         }
-        let Some(pos) = (0..ready.len()).min_by_key(|&i| {
-            let j = &jobs[ready[i]];
-            (j.deadline, j.arrival, j.task)
-        }) else {
+        let Some(pos) = (0..ready.len()).min_by_key(|&i| (jobs[ready[i]].deadline, ready[i]))
+        else {
             continue;
         };
         let j = ready[pos];
@@ -134,7 +157,14 @@ fn run_engine(
 ) -> SimResult {
     let set: TaskSet = tasks
         .iter()
-        .map(|t| Task::periodic_implicit(SimDuration::from_whole_units(t.period), t.work as f64))
+        .map(|t| {
+            Task::periodic(
+                SimTime::from_whole_units(t.phase),
+                SimDuration::from_whole_units(t.period),
+                SimDuration::from_whole_units(t.deadline),
+                t.work as f64,
+            )
+        })
         .collect();
     let profile = PiecewiseConstant::constant(AMPLE_HARVEST);
     let config = SystemConfig::new(
@@ -172,17 +202,61 @@ fn assert_matches_oracle(tasks: &[PlainTask], horizon: i64, result: &SimResult, 
     assert_eq!(result.energy.deficit, 0.0);
 }
 
-/// Random implicit-deadline task sets, from light to overloaded
-/// (utilization up to 5), with integer periods and work.
-fn task_set_strategy() -> impl Strategy<Value = Vec<(i64, i64)>> {
-    proptest::collection::vec((2i64..=12, 1i64..=12), 1..=5)
+/// Runs a fresh `policy` on `tasks` and on its constrained twin (every
+/// deadline cut to at most the period) under each of `miss_policies`,
+/// and checks every run against the oracle.
+fn check_against_oracle(
+    tasks: &[PlainTask],
+    miss_policies: &[MissPolicy],
+    policy: fn() -> Box<dyn Scheduler>,
+) {
+    let constrained: Vec<PlainTask> = tasks
+        .iter()
+        .map(|t| PlainTask {
+            deadline: t.deadline.min(t.period),
+            ..*t
+        })
+        .collect();
+    for set in [tasks, &constrained[..]] {
+        for &miss_policy in miss_policies {
+            let r = run_engine(set, HORIZON, miss_policy, policy());
+            let run_late = miss_policy == MissPolicy::RunToCompletion;
+            assert_matches_oracle(set, HORIZON, &r, run_late);
+        }
+    }
 }
 
-fn plain_tasks(raw: &[(i64, i64)]) -> Vec<PlainTask> {
+const BOTH_MISS_POLICIES: [MissPolicy; 2] =
+    [MissPolicy::AbortAtDeadline, MissPolicy::RunToCompletion];
+
+/// Random task sets, from light to overloaded (utilization up to 5),
+/// as `(period, work, phase, deadline)` draws with integer values.
+fn task_set_strategy() -> impl Strategy<Value = Vec<(i64, i64, i64, i64)>> {
+    proptest::collection::vec((2i64..=12, 1i64..=12, 0i64..12, 1i64..=24), 1..=5)
+}
+
+/// Shapes raw draws into tasks: work at most the period, the phase
+/// inside the first period, and the deadline between half the period
+/// (rounded up) and twice it.
+fn plain_tasks(raw: &[(i64, i64, i64, i64)]) -> Vec<PlainTask> {
     raw.iter()
-        .map(|&(period, work)| PlainTask {
+        .map(|&(period, work, phase, deadline)| PlainTask {
+            phase: phase % period,
             period,
+            deadline: deadline.clamp((period + 1) / 2, 2 * period),
             work: work.min(period),
+        })
+        .collect()
+}
+
+/// Tasks exactly as given, as `(phase, period, deadline, work)`.
+fn exact_tasks(raw: &[(i64, i64, i64, i64)]) -> Vec<PlainTask> {
+    raw.iter()
+        .map(|&(phase, period, deadline, work)| PlainTask {
+            phase,
+            period,
+            deadline,
+            work,
         })
         .collect()
 }
@@ -201,14 +275,9 @@ proptest! {
     /// overloaded sets alike.
     #[test]
     fn edf_matches_plain_reference(raw in task_set_strategy()) {
-        let tasks = plain_tasks(&raw);
-        let r = run_engine(
-            &tasks,
-            HORIZON,
-            MissPolicy::AbortAtDeadline,
-            Box::new(EdfScheduler::new()),
-        );
-        assert_matches_oracle(&tasks, HORIZON, &r, false);
+        check_against_oracle(&plain_tasks(&raw), &[MissPolicy::AbortAtDeadline], || {
+            Box::new(EdfScheduler::new())
+        });
     }
 
     /// EDF keeping late jobs until they finish: the miss is recorded at
@@ -217,14 +286,9 @@ proptest! {
     fn edf_matches_plain_reference_running_late_jobs_to_completion(
         raw in task_set_strategy(),
     ) {
-        let tasks = plain_tasks(&raw);
-        let r = run_engine(
-            &tasks,
-            HORIZON,
-            MissPolicy::RunToCompletion,
-            Box::new(EdfScheduler::new()),
-        );
-        assert_matches_oracle(&tasks, HORIZON, &r, true);
+        check_against_oracle(&plain_tasks(&raw), &[MissPolicy::RunToCompletion], || {
+            Box::new(EdfScheduler::new())
+        });
     }
 
     /// EA-DVFS with unbounded storage runs every job at full speed as
@@ -233,36 +297,20 @@ proptest! {
     fn ea_dvfs_matches_plain_edf_reference_with_unbounded_energy(
         raw in task_set_strategy(),
     ) {
-        let tasks = plain_tasks(&raw);
-        let r = run_engine(
-            &tasks,
-            HORIZON,
-            MissPolicy::AbortAtDeadline,
-            Box::new(EaDvfsScheduler::new()),
-        );
-        assert_matches_oracle(&tasks, HORIZON, &r, false);
+        check_against_oracle(&plain_tasks(&raw), &BOTH_MISS_POLICIES, || {
+            Box::new(EaDvfsScheduler::new())
+        });
     }
-}
 
-/// LSA with unbounded storage has no reason to delay a start, so it too
-/// runs the oracle's schedule.
-#[test]
-fn lsa_matches_plain_edf_reference_with_unbounded_energy() {
-    let sets: [&[(i64, i64)]; 4] = [
-        &[(4, 1), (6, 2), (12, 3)],
-        &[(5, 2), (7, 3)],
-        &[(3, 2), (4, 2), (10, 4)],
-        &[(2, 1), (9, 5), (11, 11)],
-    ];
-    for raw in sets {
-        let tasks = plain_tasks(raw);
-        let r = run_engine(
-            &tasks,
-            HORIZON,
-            MissPolicy::AbortAtDeadline,
-            Box::new(LazyScheduler::new()),
-        );
-        assert_matches_oracle(&tasks, HORIZON, &r, false);
+    /// LSA with unbounded storage has no reason to delay a start, so it
+    /// too runs the oracle's schedule.
+    #[test]
+    fn lsa_matches_plain_edf_reference_with_unbounded_energy(
+        raw in task_set_strategy(),
+    ) {
+        check_against_oracle(&plain_tasks(&raw), &BOTH_MISS_POLICIES, || {
+            Box::new(LazyScheduler::new())
+        });
     }
 }
 
@@ -270,7 +318,7 @@ fn lsa_matches_plain_edf_reference_with_unbounded_energy() {
 #[test]
 fn plain_reference_reproduces_hand_schedules() {
     // Liu & Layland: U = 1/2 + 2/5 = 0.9 ≤ 1 is EDF-feasible.
-    let feasible = plain_tasks(&[(2, 1), (5, 2)]);
+    let feasible = exact_tasks(&[(0, 2, 2, 1), (0, 5, 5, 2)]);
     assert!(utilization(&feasible) <= 1.0);
     let (jobs, busy) = plain_edf(&feasible, 10, false);
     assert!(jobs.iter().all(|j| !j.missed && j.completed.is_some()));
@@ -282,9 +330,36 @@ fn plain_reference_reproduces_hand_schedules() {
 
     // Overload U = 2: under abort every second job misses, and a
     // dropped job never completes.
-    let overloaded = plain_tasks(&[(2, 2), (2, 2)]);
+    let overloaded = exact_tasks(&[(0, 2, 2, 2), (0, 2, 2, 2)]);
     let (jobs, busy) = plain_edf(&overloaded, 8, false);
     assert_eq!(busy, 8);
     assert_eq!(jobs.iter().filter(|j| j.missed).count(), 4);
     assert!(jobs.iter().all(|j| j.missed != j.completed.is_some()));
+
+    // D = 4 > T = 2 with C = 3: two jobs are pending at once. Job 0
+    // runs [0,3); job 1 (due 6) runs [3,6); job 2 (due 8) gets [6,8)
+    // and misses at the horizon; job 3 (due 10) stays pending.
+    let (jobs, busy) = plain_edf(&exact_tasks(&[(0, 2, 4, 3)]), 8, false);
+    assert_eq!(busy, 8);
+    let fate: Vec<(Option<i64>, bool)> = jobs.iter().map(|j| (j.completed, j.missed)).collect();
+    assert_eq!(
+        fate,
+        [
+            (Some(3), false),
+            (Some(6), false),
+            (None, true),
+            (None, false)
+        ]
+    );
+
+    // Both tasks release a job due at 10 at t = 5. Task 1's phase
+    // release was queued first, so its job takes the deadline tie and
+    // runs [5,6); task 0's runs [6,7).
+    let (jobs, _) = plain_edf(&exact_tasks(&[(0, 5, 5, 1), (5, 10, 5, 1)]), 8, false);
+    let done = |task, arrival| {
+        jobs.iter()
+            .find(|j| (j.task, j.arrival) == (task, arrival))
+            .and_then(|j| j.completed)
+    };
+    assert_eq!((done(1, 5), done(0, 5)), (Some(6), Some(7)));
 }

@@ -186,19 +186,3 @@ fn pooled_runs_match_across_profile_paths() {
         assert_bit_identical(&fresh, &b);
     }
 }
-
-/// The heap-driven release path on the galloping twin matches the
-/// release-tape path on the uniform grid: neither the release source
-/// nor the lookup path moves a single figure.
-#[test]
-fn heap_releases_on_twin_match_taped_releases_on_grid() {
-    let s = short_scenario(0.5, 800.0);
-    for seed in 0..4u64 {
-        let prefab = s.prefab(seed);
-        assert!(prefab.tape.is_some(), "scenario prefabs carry a tape");
-        let twin = twin_prefab(&prefab).without_tape();
-        for policy in [PolicyKind::EaDvfs, PolicyKind::Lsa] {
-            assert_bit_identical(&s.run_prefab(policy, &prefab), &s.run_prefab(policy, &twin));
-        }
-    }
-}
