@@ -995,18 +995,6 @@ impl RunContext {
     pub fn queue_stats(&self) -> Option<QueueStats> {
         self.events.as_ref().map(|q| q.stats())
     }
-
-    /// Bounds the pooled queues' retained storage (see
-    /// [`EventQueue::shrink_to`] / [`EdfQueue::shrink_to`]). High-water
-    /// marks in [`Self::stats`] are unaffected: they record the peak.
-    pub fn shrink_to(&mut self, limit: usize) {
-        if let Some(q) = &mut self.events {
-            q.shrink_to(limit);
-        }
-        if let Some(q) = &mut self.ready {
-            q.shrink_to(limit);
-        }
-    }
 }
 
 /// Runs one closed-loop simulation inside a pooled [`RunContext`], with
@@ -1785,24 +1773,6 @@ mod tests {
         assert_eq!(stats.runs, 6);
         assert!(stats.event_slab_high_water > 0);
         assert!(stats.ready_high_water > 0);
-    }
-
-    #[test]
-    fn run_context_shrink_bounds_retention() {
-        let mut ctx = RunContext::new();
-        let profile = PiecewiseConstant::constant(0.5);
-        let _ = run_in(
-            &mut ctx,
-            section2_config(),
-            &section2_tasks(),
-            &profile,
-            &mut EdfScheduler::new(),
-        )
-        .unwrap();
-        assert!(ctx.stats().event_slab_high_water > 0);
-        ctx.shrink_to(0);
-        // High-water marks record the peak, not the current capacity.
-        assert!(ctx.stats().event_slab_high_water > 0);
     }
 
     #[test]

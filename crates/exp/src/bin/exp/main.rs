@@ -1,25 +1,14 @@
-//! `exp` — record, inspect, and diff observable runs.
+//! `exp` — the one command-line front end: regenerate the paper's
+//! figures and tables, record, inspect, and diff observable runs, run
+//! store-backed sweeps and fault campaigns, and manage the result store.
+//! `USAGE` below lists every verb with its flags; `exp` prints it on a
+//! usage error. All flags are read through `harvest_exp::cli`.
 //!
-//! ```text
-//! exp record      [--policy NAME] [--util U] [--capacity C] [--seed N]
-//!                 [--horizon UNITS] [--sample UNITS] [--out PATH]
-//! exp inspect     PATH
-//! exp diff        PATH BASELINE
-//! exp sweep       [--util U] [--trials N] [--threads N] [--store DIR]
-//!                 [--trace PATH] [--progress PATH] [--expect-warm]
-//! exp fault-sweep [--util U] [--capacity C] [--trials N] [--threads N]
-//!                 [--horizon UNITS] [--intensities A,B,..]
-//!                 [--store DIR] [--trace PATH] [--progress PATH]
-//!                 [--flight DIR]
-//!                 [--inject-panic POLICY:SEED:INTENSITY]
-//!                 [--inject-starve POLICY:SEED:INTENSITY] [--expect-resumed]
-//! exp report      [--store DIR] [--progress PATH] [--trace PATH]
-//!                 [--json] [--out PATH]
-//! exp store stat    DIR [--json]
-//! exp store compact DIR
-//! exp store scrub   DIR [--json]
-//! exp store import  DIR FROM
-//! ```
+//! The paper verbs (`fig5`–`fig9`, `table1`, `repro-all`, `validate`;
+//! see the `paper` module) take the uniform `--trials --threads --seed
+//! --csv --json` flags: each prints its report on stdout and writes its
+//! data as CSV and as a JSON record when asked. `validate` checks every
+//! paper claim at reduced scale and fails unless all hold.
 //!
 //! `record` replays one §5.1 trial with full observability (trace,
 //! metrics, phase profiling) and writes the run as a JSONL artifact.
@@ -64,13 +53,17 @@
 //! `--json`) campaign report; it only reads the store.
 //!
 //! Exit codes: 0 on success (including sweeps with quarantined cells),
-//! 1 on a runtime failure, 2 on a usage error.
+//! 1 on a runtime failure (a failed `--csv`/`--json` write or `validate`
+//! claim included), 2 on a usage error.
+
+mod paper;
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use harvest_exp::artifact::RunArtifact;
 use harvest_exp::cache::fnv1a64;
+use harvest_exp::cli::{fraction, Args, FigureArgs};
 use harvest_exp::figures::{
     miss_rate_figure_instrumented, robustness_campaign_instrumented, RobustnessConfig, Sabotage,
     SweepExecStats,
@@ -88,6 +81,8 @@ use harvest_obs::{MetricsRegistry, MetricsSink};
 use serde::Value;
 
 const USAGE: &str = "usage:
+  exp fig5|fig6|fig7|fig8|fig9|table1|repro-all|validate
+                  [--trials N] [--threads N] [--seed N] [--csv PATH] [--json PATH]
   exp record      [--policy edf|lsa|ea-dvfs|greedy-stretch] [--util U] [--capacity C]
                   [--seed N] [--horizon UNITS] [--sample UNITS] [--out PATH]
   exp inspect     PATH
@@ -235,8 +230,9 @@ struct ReportArgs {
 }
 
 /// A parsed invocation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum Command {
+    Paper(paper::Verb, FigureArgs),
     Record(RecordArgs),
     Inspect(PathBuf),
     Diff { run: PathBuf, baseline: PathBuf },
@@ -256,150 +252,96 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
         .ok_or_else(|| format!("unknown policy `{name}` (try ea-dvfs, lsa, edf, greedy-stretch)"))
 }
 
-fn parse_record<I, S>(args: I) -> Result<RecordArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
+fn parse_record(mut args: Args) -> Result<RecordArgs, String> {
     let mut out = RecordArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--policy" => out.policy = parse_policy(&value()?)?,
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
-            "--capacity" => {
-                out.capacity = value()?
-                    .parse()
-                    .map_err(|_| "--capacity expects a number".to_owned())?;
-                if !(out.capacity > 0.0 && out.capacity.is_finite()) {
-                    return Err("--capacity must be positive".into());
-                }
-            }
-            "--seed" => {
-                out.seed = value()?
-                    .parse()
-                    .map_err(|_| "--seed expects an unsigned integer".to_owned())?;
-            }
-            "--horizon" => {
-                out.horizon_units = value()?
-                    .parse()
-                    .map_err(|_| "--horizon expects a positive integer".to_owned())?;
-                if out.horizon_units <= 0 {
-                    return Err("--horizon must be positive".into());
-                }
-            }
-            "--sample" => {
-                out.sample_units = value()?
-                    .parse()
-                    .map_err(|_| "--sample expects a positive integer".to_owned())?;
-                if out.sample_units <= 0 {
-                    return Err("--sample must be positive".into());
-                }
-            }
-            "--out" => out.out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag {other}")),
+    args.each(|flag, args| {
+        match flag {
+            "--policy" => out.policy = parse_policy(&args.value(flag)?)?,
+            "--util" => out.utilization = args.positive_number(flag)?,
+            "--capacity" => out.capacity = args.positive_number(flag)?,
+            "--seed" => out.seed = args.unsigned(flag)?,
+            "--horizon" => out.horizon_units = args.positive_integer(flag)?,
+            "--sample" => out.sample_units = args.positive_integer(flag)?,
+            "--out" => out.out = Some(args.path(flag)?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(out)
 }
 
-fn parse_command<I, S>(args: I) -> Result<Command, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
-    let mut it = args.into_iter();
-    let sub = it
-        .next()
-        .map(|s| s.as_ref().to_owned())
+fn parse_command(mut args: Args) -> Result<Command, String> {
+    let sub = args
+        .next_arg()
         .ok_or_else(|| "missing subcommand".to_owned())?;
     match sub.as_str() {
-        "record" => Ok(Command::Record(parse_record(it)?)),
+        "record" => Ok(Command::Record(parse_record(args)?)),
         "inspect" => {
-            let path = it
-                .next()
-                .map(|s| PathBuf::from(s.as_ref()))
-                .ok_or_else(|| "inspect expects an artifact path".to_owned())?;
-            if let Some(extra) = it.next() {
-                return Err(format!("unexpected argument {}", extra.as_ref()));
-            }
+            let path = args.positional("inspect expects an artifact path")?;
+            args.finish()?;
             Ok(Command::Inspect(path))
         }
         "diff" => {
-            let run = it
-                .next()
-                .map(|s| PathBuf::from(s.as_ref()))
-                .ok_or_else(|| "diff expects two artifact paths".to_owned())?;
-            let baseline = it
-                .next()
-                .map(|s| PathBuf::from(s.as_ref()))
-                .ok_or_else(|| "diff expects two artifact paths".to_owned())?;
-            if let Some(extra) = it.next() {
-                return Err(format!("unexpected argument {}", extra.as_ref()));
-            }
+            let run = args.positional("diff expects two artifact paths")?;
+            let baseline = args.positional("diff expects two artifact paths")?;
+            args.finish()?;
             Ok(Command::Diff { run, baseline })
         }
-        "sweep" => Ok(Command::Sweep(parse_sweep(it)?)),
-        "fault-sweep" => Ok(Command::FaultSweep(parse_fault_sweep(it)?)),
-        "report" => Ok(Command::Report(parse_report(it)?)),
-        "store" => {
-            let verb = it.next().map(|s| s.as_ref().to_owned()).ok_or_else(|| {
-                "store expects `stat`, `compact`, `scrub`, or `import`".to_owned()
-            })?;
-            let mut paths: Vec<PathBuf> = Vec::new();
-            let mut json = false;
-            for arg in it {
-                match arg.as_ref() {
-                    "--json" => json = true,
-                    a if !a.starts_with("--") => paths.push(PathBuf::from(a)),
-                    other => return Err(format!("unexpected argument {other}")),
-                }
-            }
-            let mut paths = paths.into_iter();
-            let dir = paths
-                .next()
-                .ok_or_else(|| format!("store {verb} expects a store directory"))?;
-            let cmd = match verb.as_str() {
-                "stat" => Command::StoreStat { dir, json },
-                "compact" => Command::StoreCompact(dir),
-                "scrub" => Command::StoreScrub { dir, json },
-                "import" => Command::StoreImport {
-                    dir,
-                    from: paths.next().ok_or_else(|| {
-                        "store import expects a source after the store directory \
-                         (a legacy cache directory or manifest file)"
-                            .to_owned()
-                    })?,
-                },
-                other => {
-                    return Err(format!(
-                        "unknown store verb `{other}` (try stat, compact, scrub, import)"
-                    ))
-                }
-            };
-            if let Some(extra) = paths.next() {
-                return Err(format!("unexpected argument {}", extra.display()));
-            }
-            if json && matches!(cmd, Command::StoreCompact(_) | Command::StoreImport { .. }) {
-                return Err(format!("store {verb} does not take --json"));
-            }
-            Ok(cmd)
-        }
-        other => Err(format!("unknown subcommand `{other}`")),
+        "sweep" => Ok(Command::Sweep(parse_sweep(args)?)),
+        "fault-sweep" => Ok(Command::FaultSweep(parse_fault_sweep(args)?)),
+        "report" => Ok(Command::Report(parse_report(args)?)),
+        "store" => parse_store(args),
+        other => match paper::VERBS.iter().find(|(name, ..)| *name == other) {
+            Some(&(_, trials, verb)) => Ok(Command::Paper(verb, FigureArgs::parse(args, trials)?)),
+            None => Err(format!("unknown subcommand `{other}`")),
+        },
     }
+}
+
+/// `store VERB DIR [FROM] [--json]`, with `--json` accepted anywhere.
+fn parse_store(mut args: Args) -> Result<Command, String> {
+    let verb = args
+        .next_arg()
+        .ok_or_else(|| "store expects `stat`, `compact`, `scrub`, or `import`".to_owned())?;
+    let mut paths: Vec<PathBuf> = Vec::new();
+    let mut json = false;
+    args.each(|arg, _| {
+        match arg {
+            "--json" => json = true,
+            a if !a.starts_with("--") => paths.push(PathBuf::from(a)),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    let mut paths = paths.into_iter();
+    let dir = paths
+        .next()
+        .ok_or_else(|| format!("store {verb} expects a store directory"))?;
+    let cmd = match verb.as_str() {
+        "stat" => Command::StoreStat { dir, json },
+        "compact" => Command::StoreCompact(dir),
+        "scrub" => Command::StoreScrub { dir, json },
+        "import" => Command::StoreImport {
+            dir,
+            from: paths.next().ok_or_else(|| {
+                "store import expects a source after the store directory \
+                 (a legacy cache directory or manifest file)"
+                    .to_owned()
+            })?,
+        },
+        other => {
+            return Err(format!(
+                "unknown store verb `{other}` (try stat, compact, scrub, import)"
+            ))
+        }
+    };
+    if let Some(extra) = paths.next() {
+        return Err(format!("unexpected argument {}", extra.display()));
+    }
+    if json && matches!(cmd, Command::StoreCompact(_) | Command::StoreImport { .. }) {
+        return Err(format!("store {verb} does not take --json"));
+    }
+    Ok(cmd)
 }
 
 /// Parses `POLICY:SEED:INTENSITY`, e.g. `lsa:0:0.5`.
@@ -414,99 +356,42 @@ fn parse_inject(spec: &str) -> Result<InjectSpec, String> {
     let seed = seed
         .parse()
         .map_err(|_| format!("injection seed `{seed}` must be an unsigned integer"))?;
-    let intensity: f64 = intensity
+    let intensity = intensity
         .parse()
         .map_err(|_| format!("injection intensity `{intensity}` must be a number"))?;
-    if !(intensity.is_finite() && (0.0..=1.0).contains(&intensity)) {
-        return Err("injection intensity must lie in [0, 1]".into());
-    }
+    let intensity =
+        fraction(intensity).ok_or_else(|| "injection intensity must lie in [0, 1]".to_owned())?;
     Ok((policy, seed, intensity))
 }
 
-fn parse_fault_sweep<I, S>(args: I) -> Result<FaultSweepArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
+/// `--durability none|batch|record`.
+fn parse_durability(args: &mut Args, flag: &str) -> Result<Durability, String> {
+    Durability::parse(&args.value(flag)?)
+        .ok_or_else(|| format!("{flag} expects none, batch, or record"))
+}
+
+fn parse_fault_sweep(mut args: Args) -> Result<FaultSweepArgs, String> {
     let mut out = FaultSweepArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
-            "--capacity" => {
-                out.capacity = value()?
-                    .parse()
-                    .map_err(|_| "--capacity expects a number".to_owned())?;
-                if !(out.capacity > 0.0 && out.capacity.is_finite()) {
-                    return Err("--capacity must be positive".into());
-                }
-            }
-            "--trials" => {
-                out.trials = value()?
-                    .parse()
-                    .map_err(|_| "--trials expects a positive integer".to_owned())?;
-                if out.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value()?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_owned())?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--horizon" => {
-                out.horizon_units = value()?
-                    .parse()
-                    .map_err(|_| "--horizon expects a positive integer".to_owned())?;
-                if out.horizon_units <= 0 {
-                    return Err("--horizon must be positive".into());
-                }
-            }
-            "--intensities" => {
-                let raw = value()?;
-                let parsed: Result<Vec<f64>, _> =
-                    raw.split(',').map(|s| s.trim().parse::<f64>()).collect();
-                out.intensities = parsed
-                    .map_err(|_| "--intensities expects comma-separated numbers".to_owned())?;
-                if out.intensities.is_empty()
-                    || out
-                        .intensities
-                        .iter()
-                        .any(|i| !(i.is_finite() && (0.0..=1.0).contains(i)))
-                {
-                    return Err("--intensities values must lie in [0, 1]".into());
-                }
-            }
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--durability" => {
-                out.durability = Durability::parse(&value()?)
-                    .ok_or_else(|| "--durability expects none, batch, or record".to_owned())?;
-            }
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--flight" => out.flight = Some(PathBuf::from(value()?)),
-            "--inject-panic" => out.inject_panic.push(parse_inject(&value()?)?),
-            "--inject-starve" => out.inject_starve.push(parse_inject(&value()?)?),
+    args.each(|flag, args| {
+        match flag {
+            "--util" => out.utilization = args.positive_number(flag)?,
+            "--capacity" => out.capacity = args.positive_number(flag)?,
+            "--trials" => out.trials = args.positive_integer(flag)?,
+            "--threads" => out.threads = args.positive_integer(flag)?,
+            "--horizon" => out.horizon_units = args.positive_integer(flag)?,
+            "--intensities" => out.intensities = args.fractions(flag)?,
+            "--store" => out.store = Some(args.path(flag)?),
+            "--durability" => out.durability = parse_durability(args, flag)?,
+            "--trace" => out.trace = Some(args.path(flag)?),
+            "--progress" => out.progress = Some(args.path(flag)?),
+            "--flight" => out.flight = Some(args.path(flag)?),
+            "--inject-panic" => out.inject_panic.push(parse_inject(&args.value(flag)?)?),
+            "--inject-starve" => out.inject_starve.push(parse_inject(&args.value(flag)?)?),
             "--expect-resumed" => out.expect_resumed = true,
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(out)
 }
 
@@ -1118,82 +1003,38 @@ fn fault_sweep(args: &FaultSweepArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_sweep<I, S>(args: I) -> Result<SweepArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
+fn parse_sweep(mut args: Args) -> Result<SweepArgs, String> {
     let mut out = SweepArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--util" => {
-                out.utilization = value()?
-                    .parse()
-                    .map_err(|_| "--util expects a number".to_owned())?;
-                if !(out.utilization > 0.0 && out.utilization.is_finite()) {
-                    return Err("--util must be positive".into());
-                }
-            }
-            "--trials" => {
-                out.trials = value()?
-                    .parse()
-                    .map_err(|_| "--trials expects a positive integer".to_owned())?;
-                if out.trials == 0 {
-                    return Err("--trials must be positive".into());
-                }
-            }
-            "--threads" => {
-                out.threads = value()?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_owned())?;
-                if out.threads == 0 {
-                    return Err("--threads must be positive".into());
-                }
-            }
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--durability" => {
-                out.durability = Durability::parse(&value()?)
-                    .ok_or_else(|| "--durability expects none, batch, or record".to_owned())?;
-            }
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
+    args.each(|flag, args| {
+        match flag {
+            "--util" => out.utilization = args.positive_number(flag)?,
+            "--trials" => out.trials = args.positive_integer(flag)?,
+            "--threads" => out.threads = args.positive_integer(flag)?,
+            "--store" => out.store = Some(args.path(flag)?),
+            "--durability" => out.durability = parse_durability(args, flag)?,
+            "--trace" => out.trace = Some(args.path(flag)?),
+            "--progress" => out.progress = Some(args.path(flag)?),
             "--expect-warm" => out.expect_warm = true,
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     Ok(out)
 }
 
-fn parse_report<I, S>(args: I) -> Result<ReportArgs, String>
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
+fn parse_report(mut args: Args) -> Result<ReportArgs, String> {
     let mut out = ReportArgs::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let flag = flag.as_ref().to_owned();
-        let mut value = || {
-            it.next()
-                .map(|v| v.as_ref().to_owned())
-                .ok_or_else(|| format!("{flag} expects a value"))
-        };
-        match flag.as_str() {
-            "--store" => out.store = Some(PathBuf::from(value()?)),
-            "--progress" => out.progress = Some(PathBuf::from(value()?)),
-            "--trace" => out.trace = Some(PathBuf::from(value()?)),
+    args.each(|flag, args| {
+        match flag {
+            "--store" => out.store = Some(args.path(flag)?),
+            "--progress" => out.progress = Some(args.path(flag)?),
+            "--trace" => out.trace = Some(args.path(flag)?),
             "--json" => out.json = true,
-            "--out" => out.out = Some(PathBuf::from(value()?)),
-            other => return Err(format!("unknown flag {other}")),
+            "--out" => out.out = Some(args.path(flag)?),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if out.store.is_none() && out.progress.is_none() && out.trace.is_none() {
         return Err("report needs at least one input (--store, --progress, or --trace)".into());
     }
@@ -1263,6 +1104,7 @@ fn load(path: &PathBuf) -> Result<RunArtifact, String> {
 
 fn run(cmd: Command) -> Result<(), ExpError> {
     let result = match cmd {
+        Command::Paper(verb, args) => verb(&args),
         Command::Record(args) => record(&args).and_then(|artifact| match &args.out {
             Some(path) => {
                 let file = std::fs::File::create(path)
@@ -1298,7 +1140,7 @@ fn run(cmd: Command) -> Result<(), ExpError> {
 }
 
 fn main() {
-    let code = match parse_command(std::env::args().skip(1))
+    let code = match parse_command(Args::new(std::env::args().skip(1)))
         .map_err(ExpError::Usage)
         .and_then(run)
     {
@@ -1322,7 +1164,7 @@ mod tests {
 
     #[test]
     fn record_flags_parse() {
-        let args = parse_record([
+        let args = parse_record(Args::new([
             "--policy",
             "lsa",
             "--util",
@@ -1337,7 +1179,7 @@ mod tests {
             "50",
             "--out",
             "/tmp/run.jsonl",
-        ])
+        ]))
         .unwrap();
         assert_eq!(args.policy, PolicyKind::Lsa);
         assert_eq!(args.utilization, 0.8);
@@ -1350,7 +1192,7 @@ mod tests {
 
     #[test]
     fn sweep_flags_parse() {
-        let args = parse_sweep([
+        let args = parse_sweep(Args::new([
             "--util",
             "0.8",
             "--trials",
@@ -1358,7 +1200,7 @@ mod tests {
             "--threads",
             "2",
             "--expect-warm",
-        ])
+        ]))
         .unwrap();
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.trials, 3);
@@ -1368,16 +1210,22 @@ mod tests {
         assert_eq!(args.trace, None);
         assert_eq!(args.progress, None);
 
-        let traced = parse_sweep(["--trace", "/tmp/t.json", "--progress", "/tmp/p.jsonl"]).unwrap();
+        let traced = parse_sweep(Args::new([
+            "--trace",
+            "/tmp/t.json",
+            "--progress",
+            "/tmp/p.jsonl",
+        ]))
+        .unwrap();
         assert_eq!(traced.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(traced.progress, Some(PathBuf::from("/tmp/p.jsonl")));
-        assert!(parse_sweep(["--trials", "0"]).is_err());
-        assert!(parse_sweep(["--bogus"]).is_err());
+        assert!(parse_sweep(Args::new(["--trials", "0"])).is_err());
+        assert!(parse_sweep(Args::new(["--bogus"])).is_err());
 
-        let stored = parse_sweep(["--store", "/tmp/sweep-store"]).unwrap();
+        let stored = parse_sweep(Args::new(["--store", "/tmp/sweep-store"])).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/sweep-store")));
         assert_eq!(stored.durability, Durability::Batch);
-        assert!(parse_sweep(["--cache", "/tmp/b"])
+        assert!(parse_sweep(Args::new(["--cache", "/tmp/b"]))
             .unwrap_err()
             .contains("unknown flag"));
 
@@ -1386,17 +1234,17 @@ mod tests {
             ("batch", Durability::Batch),
             ("record", Durability::Record),
         ] {
-            let parsed = parse_sweep(["--durability", name]).unwrap();
+            let parsed = parse_sweep(Args::new(["--durability", name])).unwrap();
             assert_eq!(parsed.durability, level);
         }
-        assert!(parse_sweep(["--durability", "paranoid"])
+        assert!(parse_sweep(Args::new(["--durability", "paranoid"]))
             .unwrap_err()
             .contains("none, batch, or record"));
     }
 
     #[test]
     fn fault_sweep_flags_parse() {
-        let args = parse_fault_sweep([
+        let args = parse_fault_sweep(Args::new([
             "--util",
             "0.8",
             "--capacity",
@@ -1414,7 +1262,7 @@ mod tests {
             "--inject-starve",
             "ea-dvfs:1:1.0",
             "--expect-resumed",
-        ])
+        ]))
         .unwrap();
         assert_eq!(args.utilization, 0.8);
         assert_eq!(args.capacity, 200.0);
@@ -1424,31 +1272,36 @@ mod tests {
         assert_eq!(args.inject_panic, vec![(PolicyKind::Lsa, 0, 0.5)]);
         assert_eq!(args.inject_starve, vec![(PolicyKind::EaDvfs, 1, 1.0)]);
         assert!(args.expect_resumed);
-        assert!(parse_fault_sweep(["--intensities", "2.0"]).is_err());
-        assert!(parse_fault_sweep(["--inject-panic", "lsa:0"]).is_err());
-        assert!(parse_fault_sweep(["--inject-panic", "sjf:0:0.5"]).is_err());
+        assert!(parse_fault_sweep(Args::new(["--intensities", "2.0"])).is_err());
+        assert!(parse_fault_sweep(Args::new(["--inject-panic", "lsa:0"])).is_err());
+        assert!(parse_fault_sweep(Args::new(["--inject-panic", "sjf:0:0.5"])).is_err());
 
-        let stored = parse_fault_sweep(["--store", "/tmp/campaign"]).unwrap();
+        let stored = parse_fault_sweep(Args::new(["--store", "/tmp/campaign"])).unwrap();
         assert_eq!(stored.store, Some(PathBuf::from("/tmp/campaign")));
         assert_eq!(stored.durability, Durability::Batch);
-        let durable =
-            parse_fault_sweep(["--store", "/tmp/campaign", "--durability", "record"]).unwrap();
+        let durable = parse_fault_sweep(Args::new([
+            "--store",
+            "/tmp/campaign",
+            "--durability",
+            "record",
+        ]))
+        .unwrap();
         assert_eq!(durable.durability, Durability::Record);
-        assert!(parse_fault_sweep(["--durability", "fsync-everything"]).is_err());
+        assert!(parse_fault_sweep(Args::new(["--durability", "fsync-everything"])).is_err());
         for removed in ["--cache", "--manifest"] {
-            assert!(parse_fault_sweep([removed, "/tmp/b"])
+            assert!(parse_fault_sweep(Args::new([removed, "/tmp/b"]))
                 .unwrap_err()
                 .contains("unknown flag"));
         }
 
-        let observed = parse_fault_sweep([
+        let observed = parse_fault_sweep(Args::new([
             "--trace",
             "/tmp/t.json",
             "--progress",
             "/tmp/p.jsonl",
             "--flight",
             "/tmp/flight",
-        ])
+        ]))
         .unwrap();
         assert_eq!(observed.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(observed.progress, Some(PathBuf::from("/tmp/p.jsonl")));
@@ -1457,7 +1310,7 @@ mod tests {
 
     #[test]
     fn report_flags_parse() {
-        let args = parse_report([
+        let args = parse_report(Args::new([
             "--store",
             "/tmp/s",
             "--progress",
@@ -1467,7 +1320,7 @@ mod tests {
             "--json",
             "--out",
             "/tmp/report.json",
-        ])
+        ]))
         .unwrap();
         assert_eq!(args.store, Some(PathBuf::from("/tmp/s")));
         assert_eq!(args.progress, Some(PathBuf::from("/tmp/p.jsonl")));
@@ -1475,21 +1328,21 @@ mod tests {
         assert!(args.json);
         assert_eq!(args.out, Some(PathBuf::from("/tmp/report.json")));
 
-        let from_progress = parse_report(["--progress", "/tmp/p.jsonl"]).unwrap();
+        let from_progress = parse_report(Args::new(["--progress", "/tmp/p.jsonl"])).unwrap();
         assert_eq!(from_progress.store, None);
         assert!(!from_progress.json);
 
         // No input at all is a usage error; so is the retired manifest.
-        assert!(parse_report(Vec::<String>::new())
+        assert!(parse_report(Args::new(Vec::<String>::new()))
             .unwrap_err()
             .contains("at least one input"));
-        assert!(parse_report(["--json"])
+        assert!(parse_report(Args::new(["--json"]))
             .unwrap_err()
             .contains("at least one input"));
-        assert!(parse_report(["--manifest", "/tmp/b"])
+        assert!(parse_report(Args::new(["--manifest", "/tmp/b"]))
             .unwrap_err()
             .contains("unknown flag"));
-        assert!(parse_report(["--bogus"]).is_err());
+        assert!(parse_report(Args::new(["--bogus"])).is_err());
     }
 
     #[test]
@@ -1501,65 +1354,69 @@ mod tests {
 
     #[test]
     fn store_subcommand_parses() {
-        match parse_command(["store", "stat", "/tmp/s"]).unwrap() {
+        match parse_command(Args::new(["store", "stat", "/tmp/s"])).unwrap() {
             Command::StoreStat { dir, json } => {
                 assert_eq!(dir, PathBuf::from("/tmp/s"));
                 assert!(!json);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "stat", "/tmp/s", "--json"]).unwrap() {
+        match parse_command(Args::new(["store", "stat", "/tmp/s", "--json"])).unwrap() {
             Command::StoreStat { dir, json } => {
                 assert_eq!(dir, PathBuf::from("/tmp/s"));
                 assert!(json);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "compact", "/tmp/s"]).unwrap() {
+        match parse_command(Args::new(["store", "compact", "/tmp/s"])).unwrap() {
             Command::StoreCompact(dir) => assert_eq!(dir, PathBuf::from("/tmp/s")),
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "scrub", "/tmp/s", "--json"]).unwrap() {
+        match parse_command(Args::new(["store", "scrub", "/tmp/s", "--json"])).unwrap() {
             Command::StoreScrub { dir, json } => {
                 assert_eq!(dir, PathBuf::from("/tmp/s"));
                 assert!(json);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "scrub", "/tmp/s"]).unwrap() {
+        match parse_command(Args::new(["store", "scrub", "/tmp/s"])).unwrap() {
             Command::StoreScrub { dir, json } => {
                 assert_eq!(dir, PathBuf::from("/tmp/s"));
                 assert!(!json);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        match parse_command(["store", "import", "/tmp/s", "/tmp/legacy"]).unwrap() {
+        match parse_command(Args::new(["store", "import", "/tmp/s", "/tmp/legacy"])).unwrap() {
             Command::StoreImport { dir, from } => {
                 assert_eq!(dir, PathBuf::from("/tmp/s"));
                 assert_eq!(from, PathBuf::from("/tmp/legacy"));
             }
             other => panic!("wrong command: {other:?}"),
         }
-        assert!(parse_command(["store", "import", "/tmp/s"]).is_err());
-        assert!(parse_command(["store", "import", "/tmp/s", "/tmp/a", "/tmp/b"]).is_err());
-        assert!(parse_command(["store", "import", "/tmp/s", "/tmp/a", "--json"]).is_err());
-        assert!(parse_command(["store"]).is_err());
-        assert!(parse_command(["store", "scrub"]).is_err());
-        assert!(parse_command(["store", "stat"]).is_err());
-        assert!(parse_command(["store", "prune", "/tmp/s"]).is_err());
-        assert!(parse_command(["store", "stat", "/tmp/s", "extra"]).is_err());
-        assert!(parse_command(["store", "compact", "/tmp/s", "--json"]).is_err());
+        assert!(parse_command(Args::new(["store", "import", "/tmp/s"])).is_err());
+        assert!(
+            parse_command(Args::new(["store", "import", "/tmp/s", "/tmp/a", "/tmp/b"])).is_err()
+        );
+        assert!(
+            parse_command(Args::new(["store", "import", "/tmp/s", "/tmp/a", "--json"])).is_err()
+        );
+        assert!(parse_command(Args::new(["store"])).is_err());
+        assert!(parse_command(Args::new(["store", "scrub"])).is_err());
+        assert!(parse_command(Args::new(["store", "stat"])).is_err());
+        assert!(parse_command(Args::new(["store", "prune", "/tmp/s"])).is_err());
+        assert!(parse_command(Args::new(["store", "stat", "/tmp/s", "extra"])).is_err());
+        assert!(parse_command(Args::new(["store", "compact", "/tmp/s", "--json"])).is_err());
     }
 
     #[test]
     fn bad_invocations_rejected() {
-        assert!(parse_command(Vec::<String>::new()).is_err());
-        assert!(parse_command(["bogus"]).is_err());
-        assert!(parse_command(["inspect"]).is_err());
-        assert!(parse_command(["diff", "one.jsonl"]).is_err());
-        assert!(parse_record(["--policy", "sjf"]).is_err());
-        assert!(parse_record(["--util", "-1"]).is_err());
-        assert!(parse_record(["--horizon", "0"]).is_err());
+        assert!(parse_command(Args::new(Vec::<String>::new())).is_err());
+        assert!(parse_command(Args::new(["bogus"])).is_err());
+        assert!(parse_command(Args::new(["inspect"])).is_err());
+        assert!(parse_command(Args::new(["diff", "one.jsonl"])).is_err());
+        assert!(parse_record(Args::new(["--policy", "sjf"])).is_err());
+        assert!(parse_record(Args::new(["--util", "-1"])).is_err());
+        assert!(parse_record(Args::new(["--horizon", "0"])).is_err());
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Reproduction of every figure and table in the paper's evaluation
 //! (§5).
 //!
-//! | Paper artifact | Function | Binary |
-//! |----------------|----------|--------|
-//! | Fig. 5 (source behaviour)        | [`source_figure`] | `fig5` |
-//! | Fig. 6 (remaining energy, U=0.4) | [`remaining_energy_figure`] | `fig6` |
-//! | Fig. 7 (remaining energy, U=0.8) | [`remaining_energy_figure`] | `fig7` |
-//! | Fig. 8 (miss rate, U=0.4)        | [`miss_rate_figure`] | `fig8` |
-//! | Fig. 9 (miss rate, U=0.8)        | [`miss_rate_figure`] | `fig9` |
-//! | Table 1 (min storage ratio)      | [`min_capacity_table`] | `table1` |
+//! | Paper artifact | Function | Command |
+//! |----------------|----------|---------|
+//! | Fig. 5 (source behaviour)        | [`source_figure`] | `exp fig5` |
+//! | Fig. 6 (remaining energy, U=0.4) | [`remaining_energy_figure`] | `exp fig6` |
+//! | Fig. 7 (remaining energy, U=0.8) | [`remaining_energy_figure`] | `exp fig7` |
+//! | Fig. 8 (miss rate, U=0.4)        | [`miss_rate_figure`] | `exp fig8` |
+//! | Fig. 9 (miss rate, U=0.8)        | [`miss_rate_figure`] | `exp fig9` |
+//! | Table 1 (min storage ratio)      | [`min_capacity_table`] | `exp table1` |
 
 mod min_capacity;
 mod miss_rate;

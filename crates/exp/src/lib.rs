@@ -20,13 +20,15 @@
 //!   flight-recorder dumps (`exp sweep --trace/--progress`,
 //!   `exp fault-sweep --flight`).
 //! * [`report`] — aligned tables, ASCII plots, CSV.
-//! * [`cli`] — the uniform flags of the `fig5`…`table1` binaries.
+//! * [`cli`] — the one flag reader of the `exp` binary, and the uniform
+//!   flags of its paper verbs.
 //! * [`artifact`] — the JSONL run-artifact schema behind `exp record`
 //!   / `exp inspect` / `exp diff`.
 //!
-//! Binaries (in this crate): `fig5`, `fig6`, `fig7`, `fig8`, `fig9`,
-//! `table1`, `repro-all` which runs the whole evaluation, and `exp`,
-//! the run recorder/inspector.
+//! One binary: `exp`. Its paper verbs (`fig5`…`fig9`, `table1`,
+//! `repro-all` which runs the whole evaluation, and `validate`)
+//! regenerate §5; the others record and inspect runs, run store-backed
+//! sweeps and fault campaigns, and manage the result store.
 //!
 //! # Examples
 //!

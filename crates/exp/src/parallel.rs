@@ -30,42 +30,12 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-/// Per-worker accounting from the `*_observed` map variants.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Items this worker executed.
-    pub items: u64,
-    /// Chunk claims this worker made (its own shard and stolen ones).
-    pub claims: u64,
-    /// Chunk claims satisfied from another worker's shard.
-    pub steals: u64,
-    /// Wall-clock nanoseconds spent inside the mapped function
-    /// (measured per claimed chunk, so a few items share one clock pair).
-    pub busy_ns: u64,
-    /// Wall-clock nanoseconds from worker start to worker exit.
-    pub wall_ns: u64,
-}
-
-impl WorkerStats {
-    /// Fraction of the worker's lifetime spent in the mapped function —
-    /// low utilization across workers means spawn/steal overhead or a
-    /// starved tail, not useful parallelism.
-    pub fn utilization(&self) -> f64 {
-        if self.wall_ns == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / self.wall_ns as f64
-        }
-    }
-}
-
-/// What one worker thread hands back: its (index, result) buffer, its
-/// accounting, and its per-worker state.
-type WorkerBuffer<R, W> = (Vec<(usize, R)>, WorkerStats, W);
+/// What one worker thread hands back: its (index, result) buffer and its
+/// per-worker state.
+type WorkerBuffer<R, W> = (Vec<(usize, R)>, W);
 
 /// Shard `s` of `n` items over `t` workers: the half-open index range
 /// `[s*n/t, (s+1)*n/t)` (balanced to within one item).
@@ -80,15 +50,8 @@ fn chunk_size(n: usize, t: usize) -> usize {
     (n / (t * 32)).clamp(1, 64)
 }
 
-/// The sharded core all public variants compile down to. `observe`
-/// gates the per-chunk clock reads so the plain sweep path pays none.
-fn run_sharded<T, R, W, N, F>(
-    items: Vec<T>,
-    threads: usize,
-    init: N,
-    f: F,
-    observe: bool,
-) -> (Vec<R>, Vec<WorkerStats>, Vec<W>)
+/// The sharded core all public variants compile down to.
+fn run_sharded<T, R, W, N, F>(items: Vec<T>, threads: usize, init: N, f: F) -> (Vec<R>, Vec<W>)
 where
     T: Clone + Send + Sync,
     R: Send,
@@ -98,25 +61,14 @@ where
 {
     assert!(threads > 0, "need at least one worker thread");
     if items.is_empty() {
-        return (Vec::new(), Vec::new(), Vec::new());
+        return (Vec::new(), Vec::new());
     }
     let n = items.len();
     let threads = threads.min(n);
     if threads == 1 {
-        let start = observe.then(Instant::now);
         let mut state = init(0);
         let out: Vec<R> = items.into_iter().map(|x| f(&mut state, x)).collect();
-        let mut stats = WorkerStats {
-            items: out.len() as u64,
-            claims: 1,
-            ..WorkerStats::default()
-        };
-        if let Some(start) = start {
-            let wall = start.elapsed().as_nanos() as u64;
-            stats.busy_ns = wall;
-            stats.wall_ns = wall;
-        }
-        return (out, vec![stats], vec![state]);
+        return (out, vec![state]);
     }
 
     let chunk = chunk_size(n, threads);
@@ -129,7 +81,6 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
-                    let worker_start = observe.then(Instant::now);
                     let mut state = {
                         // A panicking `init` must still release the
                         // rendezvous, or the sibling workers deadlock in
@@ -143,7 +94,6 @@ where
                         let _release = WaitOnDrop(start_line);
                         init(w)
                     };
-                    let mut stats = WorkerStats::default();
                     let mut out = Vec::with_capacity(n / threads + 1);
                     for step in 0..threads {
                         let shard = (w + step) % threads;
@@ -155,24 +105,12 @@ where
                                 break;
                             }
                             let end = (begin + chunk).min(hi);
-                            stats.claims += 1;
-                            if step > 0 {
-                                stats.steals += 1;
-                            }
-                            let t0 = observe.then(Instant::now);
                             for (off, item) in items_ref[begin..end].iter().enumerate() {
                                 out.push((begin + off, f(&mut state, item.clone())));
                             }
-                            stats.items += (end - begin) as u64;
-                            if let Some(t0) = t0 {
-                                stats.busy_ns += t0.elapsed().as_nanos() as u64;
-                            }
                         }
                     }
-                    if let Some(start) = worker_start {
-                        stats.wall_ns = start.elapsed().as_nanos() as u64;
-                    }
-                    (out, stats, state)
+                    (out, state)
                 })
             })
             .collect();
@@ -186,10 +124,8 @@ where
     });
 
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let mut stats = Vec::with_capacity(buffers.len());
     let mut states = Vec::with_capacity(buffers.len());
-    for (buffer, worker, state) in buffers {
-        stats.push(worker);
+    for (buffer, state) in buffers {
         states.push(state);
         for (idx, result) in buffer {
             debug_assert!(slots[idx].is_none(), "index claimed twice");
@@ -200,7 +136,7 @@ where
         .into_iter()
         .map(|s| s.expect("every index claimed exactly once"))
         .collect();
-    (results, stats, states)
+    (results, states)
 }
 
 /// Applies `f` to every item, fanning work out over `threads` OS threads
@@ -230,8 +166,7 @@ where
     F: Fn(T) -> R + Sync,
 {
     let items: Vec<T> = items.into_iter().collect();
-    let (out, _, _) = run_sharded(items, threads, |_| (), |(), x| f(x), false);
-    out
+    run_sharded(items, threads, |_| (), |(), x| f(x)).0
 }
 
 /// [`parallel_map`] with a per-worker state value threaded through every
@@ -266,59 +201,7 @@ where
     N: Fn(usize) -> W + Sync,
     F: Fn(&mut W, T) -> R + Sync,
 {
-    let items: Vec<T> = items.into_iter().collect();
-    let (out, _, states) = run_sharded(items, threads, init, f, false);
-    (out, states)
-}
-
-/// [`parallel_map`] plus per-worker accounting: how many items each
-/// worker executed, how many chunks it claimed and stole, and how its
-/// wall-clock split between mapped work and overhead. A separate entry
-/// point (rather than a flag on [`parallel_map`]) so the sweep hot path
-/// never pays the chunk clock reads.
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if `threads == 0`.
-pub fn parallel_map_observed<I, T, R, F>(
-    items: I,
-    threads: usize,
-    f: F,
-) -> (Vec<R>, Vec<WorkerStats>)
-where
-    I: IntoIterator<Item = T>,
-    T: Clone + Send + Sync,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let items: Vec<T> = items.into_iter().collect();
-    let (out, stats, _) = run_sharded(items, threads, |_| (), |(), x| f(x), true);
-    (out, stats)
-}
-
-/// [`parallel_map_with`] plus the [`WorkerStats`] of
-/// [`parallel_map_observed`] — the figure drivers' pooled entry point
-/// when a run artifact is being recorded.
-///
-/// # Panics
-///
-/// Propagates panics from `f` and panics if `threads == 0`.
-pub fn parallel_map_with_observed<I, T, R, W, N, F>(
-    items: I,
-    threads: usize,
-    init: N,
-    f: F,
-) -> (Vec<R>, Vec<WorkerStats>, Vec<W>)
-where
-    I: IntoIterator<Item = T>,
-    T: Clone + Send + Sync,
-    R: Send,
-    W: Send,
-    N: Fn(usize) -> W + Sync,
-    F: Fn(&mut W, T) -> R + Sync,
-{
-    let items: Vec<T> = items.into_iter().collect();
-    run_sharded(items, threads, init, f, true)
+    run_sharded(items.into_iter().collect(), threads, init, f)
 }
 
 /// Why one quarantined cell failed (see [`parallel_map_quarantined`]).
@@ -381,7 +264,7 @@ where
     F: Fn(&mut W, T) -> Result<R, E> + Sync,
 {
     let items: Vec<T> = items.into_iter().collect();
-    let (out, _, states) = run_sharded(
+    let (out, states) = run_sharded(
         items,
         threads,
         |w| (w, init(w)),
@@ -403,7 +286,6 @@ where
                 }),
             }
         },
-        false,
     );
     (out, states.into_iter().map(|(_, s)| s).collect())
 }
@@ -521,29 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_map_matches_plain_and_accounts_every_item() {
-        let (out, stats) = parallel_map_observed(0..50u64, 4, |x| x * 2);
-        assert_eq!(out, (0..50u64).map(|x| x * 2).collect::<Vec<_>>());
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), 50);
-        for s in &stats {
-            assert!(s.wall_ns >= s.busy_ns || s.items == 0);
-            assert!(s.utilization() >= 0.0 && s.utilization() <= 1.0);
-            assert!(s.claims >= s.steals);
-        }
-    }
-
-    #[test]
-    fn observed_map_single_thread_and_empty() {
-        let (out, stats) = parallel_map_observed(vec![1u8, 2, 3], 1, |x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
-        assert_eq!(stats.len(), 1);
-        assert_eq!(stats[0].items, 3);
-        let (out, stats) = parallel_map_observed(Vec::<u8>::new(), 4, |x| x);
-        assert!(out.is_empty() && stats.is_empty());
-    }
-
-    #[test]
     fn with_state_threads_one_state_per_worker() {
         // Each worker counts the items it executed into its own state;
         // the final states must account for every item exactly once and
@@ -585,22 +444,6 @@ mod tests {
             out.is_empty() && states.is_empty(),
             "init must not run on empty input"
         );
-    }
-
-    #[test]
-    fn with_observed_returns_stats_and_states() {
-        let (out, stats, states) = parallel_map_with_observed(
-            0..64u64,
-            4,
-            |_| 0u64,
-            |acc, x| {
-                *acc += 1;
-                x
-            },
-        );
-        assert_eq!(out, (0..64).collect::<Vec<_>>());
-        assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), 64);
-        assert_eq!(states.iter().sum::<u64>(), 64);
     }
 
     #[test]
@@ -658,15 +501,22 @@ mod tests {
         // Uniform per-item cost, items ≫ threads: with the start-line
         // barrier no worker can drain the others' shards before they
         // begin, so every worker must execute at least one item (the
-        // pre-barrier behaviour put all 64 on worker 0).
-        let (out, stats) = parallel_map_observed(0..64u64, 4, |x| {
-            std::thread::sleep(Duration::from_millis(2));
-            x
-        });
+        // pre-barrier behaviour put all 64 on worker 0). Each worker
+        // counts the items it executed into its own state.
+        let (out, items) = parallel_map_with(
+            0..64u64,
+            4,
+            |_| 0u64,
+            |count, x| {
+                *count += 1;
+                std::thread::sleep(Duration::from_millis(2));
+                x
+            },
+        );
         assert_eq!(out, (0..64).collect::<Vec<_>>());
-        assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), 64);
-        for (w, s) in stats.iter().enumerate() {
-            assert!(s.items > 0, "worker {w} executed nothing: {stats:?}");
+        assert_eq!(items.iter().sum::<u64>(), 64);
+        for (w, n) in items.iter().enumerate() {
+            assert!(*n > 0, "worker {w} executed nothing: {items:?}");
         }
     }
 

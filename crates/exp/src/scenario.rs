@@ -108,12 +108,6 @@ impl SimPool {
         self.ctx.stats()
     }
 
-    /// Caps retained queue storage (useful between sweeps of very
-    /// different sizes; see [`RunContext::shrink_to`]).
-    pub fn shrink_to(&mut self, limit: usize) {
-        self.ctx.shrink_to(limit);
-    }
-
     /// Event-queue counters of the pooled context (`None` until a run
     /// has materialized the queue). Quarantine reports attach these so
     /// a failing worker's state is inspectable post-mortem.
@@ -578,33 +572,6 @@ impl PaperScenario {
         summary
     }
 
-    /// [`run_summary`](Self::run_summary) through the fallible path:
-    /// store hits short-circuit as before, a clean run is summarized
-    /// and written back, and a watchdog abort propagates *unstored* —
-    /// the watchdog budget is deliberately not part of the trial key,
-    /// so an aborted cell must never poison the store.
-    pub fn try_run_summary(
-        &self,
-        pool: &mut SimPool,
-        store: Option<&dyn crate::store::TrialStore>,
-        policy: PolicyKind,
-        prefab: &TrialPrefab,
-        watchdog: Option<Watchdog>,
-    ) -> Result<crate::cache::TrialSummary, SimError> {
-        let key = store.map(|c| (c, self.trial_key(policy, prefab.seed)));
-        if let Some((c, key)) = &key {
-            if let Some(summary) = c.probe(key) {
-                return Ok(summary);
-            }
-        }
-        let result = self.try_run_prefab_in(pool, policy, prefab, watchdog)?;
-        let summary = crate::cache::TrialSummary::of(&result);
-        if let Some((c, key)) = &key {
-            c.store(key, &summary);
-        }
-        Ok(summary)
-    }
-
     /// [`run_prefab`](Self::run_prefab) with full observability — trace,
     /// metrics snapshot, and phase profiling all enabled. This is the
     /// configuration `exp record` captures JSONL artifacts with; sweeps
@@ -742,14 +709,13 @@ mod tests {
     }
 
     #[test]
-    fn try_run_summary_surfaces_watchdog_aborts() {
+    fn try_run_prefab_in_surfaces_watchdog_aborts() {
         let s = PaperScenario::new(0.4, 500.0);
         let prefab = s.prefab(0);
         let mut pool = SimPool::new();
         let err = s
-            .try_run_summary(
+            .try_run_prefab_in(
                 &mut pool,
-                None,
                 PolicyKind::EaDvfs,
                 &prefab,
                 Some(Watchdog::with_max_events(3)),
@@ -757,10 +723,10 @@ mod tests {
             .expect_err("3 events cannot finish a 10k-unit run");
         assert!(matches!(err, SimError::WatchdogEventBudget { .. }));
         // The pool heals: the same cell succeeds without the watchdog.
-        let summary = s
-            .try_run_summary(&mut pool, None, PolicyKind::EaDvfs, &prefab, None)
+        let result = s
+            .try_run_prefab_in(&mut pool, PolicyKind::EaDvfs, &prefab, None)
             .unwrap();
-        assert!(summary.released > 0);
+        assert!(result.released() > 0);
     }
 
     #[test]
